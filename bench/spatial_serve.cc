@@ -181,10 +181,6 @@ main(int argc, char **argv)
 
     options.serve.maxBatch =
         static_cast<std::size_t>(args.getInt("max_batch", 256));
-    // Named like the serving_throughput grid axis so the two CLIs
-    // spell the knob identically.
-    options.serve.maxDelay = std::chrono::microseconds(
-        args.getInt("max_delay_us", 2000));
     options.serve.workers =
         static_cast<unsigned>(args.getInt("workers", 0));
     options.serve.storeCapacity =
@@ -228,12 +224,11 @@ main(int argc, char **argv)
                       "list)");
 
     std::printf("spatial-serve: mode=%s%s%s designs=%zu dim=%zu "
-                "bits=%d max_batch=%zu max_delay=%lldus seed=%llu\n",
+                "bits=%d max_batch=%zu seed=%llu\n",
                 modeName(options.mode),
                 options.remote.empty() ? "" : " remote=",
                 options.remote.c_str(), options.designs, options.dim,
                 options.bits, options.serve.maxBatch,
-                static_cast<long long>(options.serve.maxDelay.count()),
                 static_cast<unsigned long long>(options.seed));
 
     const LoadGenResult result = runLoadGen(options);
@@ -280,7 +275,7 @@ main(int argc, char **argv)
     } else {
         std::printf(
             "batching: %zu groups, %zu/%zu lanes used (occupancy "
-            "%.2f), flushes full=%zu deadline=%zu drain=%zu, "
+            "%.2f), flushes full=%zu idle=%zu drain=%zu, "
             "sequences=%zu\n",
             result.stats.groups, result.stats.lanes,
             result.stats.paddedLanes, result.stats.occupancy(),

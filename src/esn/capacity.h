@@ -22,7 +22,7 @@ namespace spatial::esn
 /** Per-delay and total memory capacity. */
 struct MemoryCapacityResult
 {
-    std::vector<double> perDelay; //!< r^2 for delays 1..maxDelay
+    std::vector<double> perDelay; //!< r^2 for delays 1..max_delay
     double total = 0.0;           //!< sum over delays
 };
 

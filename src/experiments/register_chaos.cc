@@ -201,7 +201,6 @@ makeChaos()
         net.drainTimeout = std::chrono::milliseconds(2000);
         net.serve.workers = 2;
         net.serve.maxBatch = 32;
-        net.serve.maxDelay = std::chrono::microseconds(500);
         net.serve.storeCapacity = scenario.storeCapacity;
         net.serve.maxQueueAge = scenario.maxQueueAge;
         net.serve.slowWorkerAfter = scenario.slowWorkerAfter;

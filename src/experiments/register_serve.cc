@@ -7,8 +7,8 @@
  * batch-saturating throughput ceiling against the naive
  * one-request-per-multiply path (verified bit-identical before the
  * speedup is reported).  `spatial-bench run serving_throughput
- * --max_delay_us=... --max_batch=...` sweeps the batching policy like
- * any other figure; `--seed` varies the workload/arrival streams.
+ * --max_batch=...` sweeps the lane budget like any other figure;
+ * `--seed` varies the workload/arrival streams.
  */
 
 #include "common/logging.h"
@@ -27,20 +27,19 @@ makeServingThroughput()
     Experiment exp;
     exp.name = "serving_throughput";
     exp.figure = "ours (serving layer)";
-    exp.title = "Online serving: deadline-aware lane batching vs the "
+    exp.title = "Online serving: work-conserving lane batching vs the "
                 "naive path";
     exp.description =
         "open-loop latency percentiles plus drain-mode batching "
         "speedup, bit-exact";
     exp.runtime = "~10 s (timed load phases)";
-    exp.columns = {"designs", "dim", "max_batch", "max_delay_us",
-                   "qps", "throughput", "p50 ms", "p95 ms", "p99 ms",
-                   "occupancy", "drain speedup"};
+    exp.columns = {"designs", "dim", "max_batch", "qps", "throughput",
+                   "p50 ms", "p95 ms", "p99 ms", "occupancy",
+                   "drain speedup"};
     exp.grid = Grid::cartesian(
         {Axis{"designs", {std::int64_t{1}, std::int64_t{2}}},
          Axis{"dim", {std::int64_t{96}}},
          Axis{"max_batch", {std::int64_t{64}, std::int64_t{256}}},
-         Axis{"max_delay_us", {std::int64_t{2000}}},
          Axis{"qps", {std::int64_t{15000}}}});
     exp.serialOnly = true; // wall-clock load phases
     exp.evaluate = [](const ParamPoint &point, const void *,
@@ -56,8 +55,6 @@ makeServingThroughput()
         options.seed = mixSeed(404, ctx.seed);
         options.serve.maxBatch =
             static_cast<std::size_t>(point.getInt("max_batch"));
-        options.serve.maxDelay = std::chrono::microseconds(
-            point.getInt("max_delay_us"));
         options.serve.sim = ctx.sim;
 
         options.mode = serve::LoadGenOptions::Mode::Open;
@@ -75,8 +72,6 @@ makeServingThroughput()
             {cell(static_cast<std::int64_t>(options.designs)),
              cell(static_cast<std::int64_t>(options.dim)),
              cell(static_cast<std::int64_t>(options.serve.maxBatch)),
-             cell(static_cast<std::int64_t>(
-                 options.serve.maxDelay.count())),
              cell(static_cast<std::int64_t>(options.qps)),
              cell(static_cast<std::int64_t>(open.throughput)),
              cell(open.latencyMs.p50, 3), cell(open.latencyMs.p95, 3),
@@ -85,8 +80,8 @@ makeServingThroughput()
              cell(drain.speedup, 2)}};
     };
     exp.expectedShape =
-        "Longer max_delay trades p50 latency for occupancy; drain "
-        "speedup is the batched engine's advantage over "
+        "Occupancy grows with load as requests coalesce behind busy "
+        "workers; drain speedup is the batched engine's advantage over "
         "one-request-per-multiply on identical, bit-identical work "
         "(grows with max_batch until the engine saturates).";
     return exp;

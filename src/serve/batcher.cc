@@ -7,11 +7,9 @@
 namespace spatial::serve
 {
 
-Batcher::Batcher(DesignId design, BatchPolicy policy)
-    : design_(design), policy_(policy)
-{
-    policy_.maxBatch = std::max<std::size_t>(1, policy_.maxBatch);
-}
+Batcher::Batcher(DesignId design, std::size_t max_batch)
+    : design_(design), maxBatch_(std::max<std::size_t>(1, max_batch))
+{}
 
 Group
 Batcher::cut(FlushReason reason, std::chrono::time_point<Clock> now)
@@ -37,29 +35,15 @@ Batcher::enqueue(PendingRequest pending, std::chrono::time_point<Clock> now)
 
     // An incoming request never splits across groups: if it would
     // overflow the open group, that group ships first.
-    if (pendingLanes_ > 0 && pendingLanes_ + lanes > policy_.maxBatch)
+    if (pendingLanes_ > 0 && pendingLanes_ + lanes > maxBatch_)
         flushed.push_back(cut(FlushReason::Full, now));
 
-    // The group's deadline counts from when it opens, not from when its
-    // first request was submitted: a request that already waited in the
-    // server queue longer than maxDelay would otherwise open a group
-    // that is born expired and flush with a single lane.
-    if (pending_.empty())
-        deadline_ = std::max(pending.submitAt, now) + policy_.maxDelay;
     pendingLanes_ += lanes;
     pending_.push_back(std::move(pending));
 
-    if (pendingLanes_ >= policy_.maxBatch)
+    if (pendingLanes_ >= maxBatch_)
         flushed.push_back(cut(FlushReason::Full, now));
     return flushed;
-}
-
-std::optional<Group>
-Batcher::pollDeadline(std::chrono::time_point<Clock> now)
-{
-    if (pending_.empty() || now < deadline_)
-        return std::nullopt;
-    return cut(FlushReason::Deadline, now);
 }
 
 std::optional<Group>
@@ -71,11 +55,11 @@ Batcher::flush(FlushReason reason, std::chrono::time_point<Clock> now)
 }
 
 std::optional<std::chrono::time_point<Clock>>
-Batcher::deadline() const
+Batcher::oldestSubmit() const
 {
     if (pending_.empty())
         return std::nullopt;
-    return deadline_;
+    return pending_.front().submitAt;
 }
 
 } // namespace spatial::serve

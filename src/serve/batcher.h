@@ -1,14 +1,16 @@
 /**
  * @file
- * Deadline-aware lane batching for one design.
+ * Lane batching for one design.
  *
  * The wide engine wants 64*W-lane planes; clients send one-or-few-lane
  * requests.  The Batcher accumulates lane-shaped requests for a single
- * design and cuts flush groups under a pluggable policy:
+ * design in one open group and cuts it on three triggers:
  *
- *  - **full**: pending lanes reached BatchPolicy::maxBatch (or an
- *    incoming request would overflow the open group);
- *  - **deadline**: the oldest queued request has waited maxDelay;
+ *  - **full**: pending lanes reached maxBatch (or an incoming request
+ *    would overflow the open group);
+ *  - **idle**: a Server worker with nothing else to run takes the open
+ *    group as it stands (work-conserving batching: requests coalesce
+ *    only while every worker is busy);
  *  - **drain**: the owner flushes explicitly (shutdown, drain()).
  *
  * The class is deliberately not synchronized: the Server drives every
@@ -30,16 +32,6 @@
 namespace spatial::serve
 {
 
-/** Flush-policy knobs of one Batcher. */
-struct BatchPolicy
-{
-    /** Lane budget per group; a full group flushes immediately. */
-    std::size_t maxBatch = 256;
-
-    /** Longest a queued request may wait before a forced flush. */
-    std::chrono::microseconds maxDelay{2000};
-};
-
 /** One queued request awaiting execution. */
 struct PendingRequest
 {
@@ -58,38 +50,27 @@ struct Group
     std::chrono::time_point<Clock> flushAt{}; //!< flush timestamp
 };
 
-/** Per-design accumulator cutting groups under the flush policy. */
+/** Per-design accumulator cutting groups at the lane budget. */
 class Batcher
 {
   public:
-    /** Batcher for `design` under `policy` (maxBatch clamps to >=1). */
-    Batcher(DesignId design, BatchPolicy policy);
+    /** Batcher for `design` with a `max_batch` lane budget (>= 1). */
+    Batcher(DesignId design, std::size_t max_batch);
 
     /**
      * Queue one lane-shaped request (not EsnSequence).  Returns the
      * groups this enqueue completed: the previously open group when the
-     * request would have overflowed it, and/or the now-full group.  A
-     * request that opens a group sets its deadline to
-     * max(submitAt, now) + maxDelay, so queueing time spent upstream of
-     * the batcher never produces an already-expired group.
+     * request would have overflowed it, and/or the now-full group.
      */
     std::vector<Group> enqueue(PendingRequest pending,
                                std::chrono::time_point<Clock> now);
-
-    /**
-     * Cut the open group if the oldest request's deadline has passed.
-     */
-    std::optional<Group> pollDeadline(std::chrono::time_point<Clock> now);
 
     /** Cut the open group unconditionally (empty => nullopt). */
     std::optional<Group> flush(FlushReason reason,
                                std::chrono::time_point<Clock> now);
 
-    /**
-     * When a request is queued, the instant the open group must flush;
-     * nullopt when the queue is empty.
-     */
-    std::optional<std::chrono::time_point<Clock>> deadline() const;
+    /** submitAt of the oldest queued request; nullopt when empty. */
+    std::optional<std::chrono::time_point<Clock>> oldestSubmit() const;
 
     /** Lanes currently queued. */
     std::size_t pendingLanes() const { return pendingLanes_; }
@@ -97,17 +78,13 @@ class Batcher
     /** Requests currently queued. */
     std::size_t pendingRequests() const { return pending_.size(); }
 
-    /** The flush policy. */
-    const BatchPolicy &policy() const { return policy_; }
-
   private:
     Group cut(FlushReason reason, std::chrono::time_point<Clock> now);
 
     DesignId design_;
-    BatchPolicy policy_;
+    std::size_t maxBatch_;
     std::vector<PendingRequest> pending_;
     std::size_t pendingLanes_ = 0;
-    std::chrono::time_point<Clock> deadline_{};
 };
 
 } // namespace spatial::serve

@@ -696,8 +696,6 @@ LoadGenResult::toJson(const LoadGenOptions &options) const
     out << "  \"bits\": " << options.bits << ",\n";
     out << "  \"sparsity\": " << jsonReal(options.sparsity) << ",\n";
     out << "  \"max_batch\": " << options.serve.maxBatch << ",\n";
-    out << "  \"max_delay_us\": " << options.serve.maxDelay.count()
-        << ",\n";
     // The resolved worker count, not the raw option: a 0 = "auto"
     // sentinel in an artifact is useless for comparing runs across
     // machines.

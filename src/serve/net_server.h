@@ -16,7 +16,7 @@
  *    keeps its connection until every reply it is owed has been
  *    delivered and flushed — the NetClient::close() drain contract.
  *  - **N shards**: each shard is a full serve::Server — its own
- *    DesignStore, Batcher set, deadline timer, and worker pool.
+ *    DesignStore, Batcher set, and work-conserving worker pool.
  *    Designs are routed to shard `globalId % shards` at registration,
  *    so one hot design's queue cannot starve another shard's pool.
  *  - **per-shard reaper** (one thread each): waits on submitted

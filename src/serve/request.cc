@@ -27,8 +27,8 @@ flushReasonName(FlushReason reason)
     switch (reason) {
       case FlushReason::Full:
         return "full";
-      case FlushReason::Deadline:
-        return "deadline";
+      case FlushReason::Idle:
+        return "idle";
       case FlushReason::Drain:
         return "drain";
       case FlushReason::Direct:

@@ -29,7 +29,7 @@
 /**
  * @namespace spatial::serve
  * The online serving layer: DesignStore (LRU of hot compiled designs),
- * Batcher (deadline-aware lane batching), Server (persistent worker
+ * Batcher (work-conserving lane batching), Server (persistent worker
  * pool with per-design fairness), and the load generator behind the
  * spatial-serve CLI and the serving_throughput experiment.
  */
@@ -139,7 +139,7 @@ struct Request
 enum class FlushReason : std::uint8_t
 {
     Full,     //!< the group reached max_batch lanes
-    Deadline, //!< the oldest queued request hit max_delay
+    Idle,     //!< an idle worker took the open group before it filled
     Drain,    //!< an explicit drain() / shutdown flush
     Direct,   //!< bypassed batching (sequential EsnSequence jobs)
 };

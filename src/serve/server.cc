@@ -36,7 +36,6 @@ Server::Server(ServeOptions options)
     workers_.reserve(workers);
     for (unsigned i = 0; i < workers; ++i)
         workers_.emplace_back([this, i] { workerLoop(i); });
-    timer_ = std::thread([this] { timerLoop(); });
     if (options_.maxQueueAge.count() > 0 ||
         options_.slowWorkerAfter.count() > 0)
         watchdog_ = std::thread([this] { watchdogLoop(); });
@@ -50,11 +49,9 @@ Server::~Server()
         stopping_ = true;
     }
     workCv_.notify_all();
-    timerCv_.notify_all();
     watchdogCv_.notify_all();
     for (auto &worker : workers_)
         worker.join();
-    timer_.join();
     if (watchdog_.joinable())
         watchdog_.join();
 }
@@ -82,9 +79,8 @@ Server::registerDesign(const IntMatrix &weights,
     if (it != designIds_.end())
         return it->second;
     const DesignId id = designs_.size();
-    BatchPolicy policy{options_.maxBatch, options_.maxDelay};
     designs_.push_back(std::make_unique<DesignEntry>(
-        id, key, weights, options, policy));
+        id, key, weights, options, options_.maxBatch));
     designIds_.emplace(key, id);
     return id;
 }
@@ -160,11 +156,11 @@ Server::submit(DesignId id, Request request)
         auto flushed = entry.batcher.enqueue(std::move(pending),
                                              Clock::now());
         pushGroupsLocked(std::move(flushed));
-        // The deadline horizon only moves when this enqueue opened a
-        // fresh group (queue was empty, or an overflow flush left the
-        // request alone); skip the timer wakeup otherwise.
-        if (entry.batcher.pendingRequests() == 1)
-            timerCv_.notify_one();
+        // An idle worker takes the open group at once.  Only the
+        // enqueue that opened it sends the wakeup: later requests
+        // coalesce behind it until some worker cuts the group.
+        if (idleWorkers_ > 0 && entry.batcher.pendingRequests() == 1)
+            workCv_.notify_one();
     }
     return future;
 }
@@ -177,12 +173,10 @@ Server::pushGroupsLocked(std::vector<Group> groups)
           case FlushReason::Full:
             ++stats_.flushFull;
             break;
-          case FlushReason::Deadline:
-            ++stats_.flushDeadline;
-            break;
           case FlushReason::Drain:
             ++stats_.flushDrain;
             break;
+          case FlushReason::Idle: // booked by nextGroupLocked
           case FlushReason::Direct:
             break;
         }
@@ -194,22 +188,29 @@ Server::pushGroupsLocked(std::vector<Group> groups)
 }
 
 std::optional<Group>
-Server::popGroupLocked()
+Server::nextGroupLocked()
 {
-    if (readyGroups_ == 0 || designs_.empty())
-        return std::nullopt;
     // Round-robin across designs: scan from the cursor, take the first
-    // non-empty queue, and advance the cursor past it, so a design with
-    // a deep backlog yields to its neighbours after every group.
+    // design with work — its oldest ready group, or else its open group
+    // cut as it stands — and advance the cursor past it.  A design with
+    // a deep backlog yields to its neighbours after every group, and a
+    // lone request on a quiet design waits at most one turn.  Batches
+    // grow only while every worker is busy.
     const std::size_t n = designs_.size();
     for (std::size_t offset = 0; offset < n; ++offset) {
         const std::size_t d = (rrCursor_ + offset) % n;
-        auto &ready = designs_[d]->ready;
-        if (ready.empty())
+        DesignEntry &entry = *designs_[d];
+        std::optional<Group> group;
+        if (!entry.ready.empty()) {
+            group = std::move(entry.ready.front());
+            entry.ready.pop_front();
+            --readyGroups_;
+        } else if (entry.batcher.pendingRequests() != 0) {
+            ++stats_.flushDeadline;
+            group = entry.batcher.flush(FlushReason::Idle, Clock::now());
+        } else {
             continue;
-        Group group = std::move(ready.front());
-        ready.pop_front();
-        --readyGroups_;
+        }
         rrCursor_ = (d + 1) % n;
         return group;
     }
@@ -221,13 +222,15 @@ Server::workerLoop(unsigned index)
 {
     MutexLock lock(mutex_);
     for (;;) {
-        while (readyGroups_ == 0 && !stopping_)
+        auto group = nextGroupLocked();
+        if (!group) {
+            if (stopping_)
+                return;
+            ++idleWorkers_;
             workCv_.wait(mutex_);
-        if (stopping_ && readyGroups_ == 0)
-            return;
-        auto group = popGroupLocked();
-        if (!group)
+            --idleWorkers_;
             continue;
+        }
         ++inFlight_;
         // Materialize the design outside the lock: a hot design is a
         // map lookup; a demoted one reloads from the cold tier (or
@@ -321,6 +324,15 @@ Server::watchdogLoop()
                     expired.push_back(std::move(ready.front()));
                     ready.pop_front();
                     --readyGroups_;
+                }
+                // The open group is younger than anything ready, but
+                // with every worker stalled no idle cut comes for it.
+                const auto oldest = entry->batcher.oldestSubmit();
+                if (oldest && *oldest < cutoff) {
+                    auto group = entry->batcher.flush(FlushReason::Idle,
+                                                      Clock::now());
+                    stats_.watchdogShed += group->requests.size();
+                    expired.push_back(std::move(*group));
                 }
             }
             if (!expired.empty() && readyGroups_ == 0 &&
@@ -503,34 +515,6 @@ Server::executeSequence(const core::TiledDesign &design, Group group)
     resp.segmentsSkipped = seq_stats.segmentsSkipped;
     resp.output = std::move(trajectory);
     p.promise.set_value(std::move(resp));
-}
-
-void
-Server::timerLoop()
-{
-    MutexLock lock(mutex_);
-    while (!stopping_) {
-        // Earliest pending deadline across all batchers.
-        std::optional<std::chrono::time_point<Clock>> earliest;
-        for (const auto &entry : designs_) {
-            const auto d = entry->batcher.deadline();
-            if (d && (!earliest || *d < *earliest))
-                earliest = d;
-        }
-        if (!earliest) {
-            timerCv_.wait(mutex_);
-            continue;
-        }
-        if (timerCv_.wait_until(mutex_, *earliest) ==
-            std::cv_status::no_timeout)
-            continue; // new submit or stop: recompute the horizon
-        const auto now = Clock::now();
-        std::vector<Group> expired;
-        for (const auto &entry : designs_)
-            if (auto group = entry->batcher.pollDeadline(now))
-                expired.push_back(std::move(*group));
-        pushGroupsLocked(std::move(expired));
-    }
 }
 
 void

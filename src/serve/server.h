@@ -1,19 +1,24 @@
 /**
  * @file
  * The in-process serving subsystem: multi-design request scheduling
- * with deadline-aware lane batching on the wide tape engine.
+ * with work-conserving lane batching on the wide tape engine.
  *
  * Request lifecycle:
  *
  *  1. registerDesign() compiles (or LRU-fetches) the model through the
  *     DesignStore and creates its Batcher;
  *  2. submit() queues a Request on the design's Batcher and returns a
- *     future; the batcher cuts groups on max_batch lanes, max_delay
- *     deadlines (a timer thread watches the earliest deadline), or
- *     drain;
- *  3. flushed groups enter per-design ready queues; a persistent
- *     worker pool pops them round-robin across designs (one hot model
- *     cannot starve the rest), pads each group to the 64-lane engine
+ *     future; a request that opens a group wakes one idle worker.  A
+ *     group is cut when it reaches max_batch lanes, on drain, or when
+ *     a worker with nothing ready takes it as it stands (idle cut) —
+ *     so a lone request on an idle server runs at once, and requests
+ *     coalesce only while every worker is busy, which grows batches
+ *     with load;
+ *  3. full and drained groups enter per-design ready queues; a
+ *     persistent worker pool serves designs round-robin, taking a
+ *     design's oldest ready group or else idle-cutting its open group
+ *     (one hot model cannot starve the rest, and a lone request waits
+ *     at most one turn), pads each group to the 64-lane engine
  *     boundary, runs it through core::runBatchWide, and scatters the
  *     decoded rows back to the member futures.  EsnSequence requests
  *     are inherently sequential and run on a per-job core::TapeGemv
@@ -53,9 +58,6 @@ struct ServeOptions
     /** Lane budget per flushed group (Batcher full trigger). */
     std::size_t maxBatch = 256;
 
-    /** Deadline for a queued request before a forced flush. */
-    std::chrono::microseconds maxDelay{2000};
-
     /** Execution workers; 0 = one per hardware context. */
     unsigned workers = 0;
 
@@ -87,8 +89,8 @@ struct ServeOptions
     core::SimOptions sim;
 
     /**
-     * Queue-age watchdog: a ready group whose oldest request has been
-     * queued longer than this is shed — its futures resolve
+     * Queue-age watchdog: a group, open or ready, whose oldest request
+     * has been queued longer than this is shed — its futures resolve
      * immediately with Response::shed set (the wire front end maps
      * that to Status::Busy) instead of waiting behind a stalled
      * worker.  0 disables the watchdog (no thread is started).
@@ -112,7 +114,8 @@ struct ServerStats
     std::size_t groups = 0;        //!< batched groups executed
     std::size_t paddedLanes = 0;   //!< lanes after 64-lane padding
     std::size_t flushFull = 0;     //!< groups cut by the lane budget
-    std::size_t flushDeadline = 0; //!< groups cut by max_delay
+    std::size_t flushDeadline = 0; //!< groups an idle worker cut
+                                   //!< before they filled
     std::size_t flushDrain = 0;    //!< groups cut by drain()
     std::size_t enginePasses = 0;  //!< netlist passes across all groups
                                    //!< (group lanes / adaptive 64*W)
@@ -149,7 +152,7 @@ struct ServerStats
 class Server
 {
   public:
-    /** Start the worker pool and deadline timer. */
+    /** Start the worker pool. */
     explicit Server(ServeOptions options = {});
 
     /** Drain outstanding work and join the pool. */
@@ -234,14 +237,13 @@ class Server
 
         DesignEntry(DesignId id, experiments::DesignKey k,
                     IntMatrix w, const core::CompileOptions &c,
-                    const BatchPolicy &policy)
+                    std::size_t max_batch)
             : key(std::move(k)), weights(std::move(w)), compile(c),
-              batcher(id, policy)
+              batcher(id, max_batch)
         {}
     };
 
     void workerLoop(unsigned index) SPATIAL_EXCLUDES(mutex_);
-    void timerLoop() SPATIAL_EXCLUDES(mutex_);
     void watchdogLoop() SPATIAL_EXCLUDES(mutex_);
 
     /** Flush every batcher (Drain reason) and enqueue the groups. */
@@ -250,8 +252,13 @@ class Server
     /** Resolve every request in `shed` with Response::shed set. */
     static void fulfillShed(std::vector<Group> shed);
 
-    /** Pop the next ready group round-robin; nullopt when idle. */
-    std::optional<Group> popGroupLocked() SPATIAL_REQUIRES(mutex_);
+    /**
+     * The next group for an idle worker: round-robin across designs
+     * from the cursor, the first design's oldest ready group, or its
+     * open group cut with FlushReason::Idle when none is ready;
+     * nullopt when every queue is empty.
+     */
+    std::optional<Group> nextGroupLocked() SPATIAL_REQUIRES(mutex_);
 
     /** Enqueue flushed groups and account their flush reason. */
     void pushGroupsLocked(std::vector<Group> groups)
@@ -269,8 +276,7 @@ class Server
     DesignStore store_;
 
     mutable Mutex mutex_;
-    CondVar workCv_;  //!< workers: ready or stopping
-    CondVar timerCv_; //!< timer: deadlines changed
+    CondVar workCv_;  //!< workers: work queued or stopping
     CondVar idleCv_;  //!< drain(): all work finished
     CondVar watchdogCv_; //!< watchdog: stop requested
 
@@ -290,6 +296,8 @@ class Server
     std::size_t rrCursor_ SPATIAL_GUARDED_BY(mutex_) = 0;
     std::size_t readyGroups_ SPATIAL_GUARDED_BY(mutex_) = 0;
     std::size_t inFlight_ SPATIAL_GUARDED_BY(mutex_) = 0;
+    /** Workers asleep on workCv_ with every queue empty. */
+    std::size_t idleWorkers_ SPATIAL_GUARDED_BY(mutex_) = 0;
     bool stopping_ SPATIAL_GUARDED_BY(mutex_) = false;
 
     ServerStats stats_ SPATIAL_GUARDED_BY(mutex_);
@@ -306,7 +314,6 @@ class Server
     std::unique_ptr<std::atomic<std::int64_t>[]> workerBusyUs_;
 
     std::vector<std::thread> workers_;
-    std::thread timer_;
     std::thread watchdog_; //!< started only when the watchdog is on
 };
 

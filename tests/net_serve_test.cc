@@ -57,7 +57,6 @@ quickServer(std::size_t shards = 1)
     net.port = 0; // ephemeral: parallel-safe under ctest -j
     net.shards = shards;
     net.serve.maxBatch = 64;
-    net.serve.maxDelay = std::chrono::microseconds(500);
     net.serve.workers = 2;
     return net;
 }
@@ -385,10 +384,6 @@ TEST(NetServe, FloodedQueueShedsBusyWithoutStalling)
 {
     NetServerOptions net = quickServer();
     net.maxQueue = 1;
-    // Deadline-only flushing: the one admitted request stays in flight
-    // for the full delay, so the rest of the burst must shed.
-    net.serve.maxBatch = 1024;
-    net.serve.maxDelay = std::chrono::milliseconds(50);
     NetServer server(net);
     NetClient client("127.0.0.1", server.port());
 
@@ -397,6 +392,10 @@ TEST(NetServe, FloodedQueueShedsBusyWithoutStalling)
                                     testCompileOptions(), &id),
               wire::Status::Ok);
 
+    // The one admitted request stalls its worker for 50ms, so the rest
+    // of the burst must shed.
+    const FaultGuard faults({{fault::Site::ServeWorkerStall,
+                              fault::Rule{1.0, 11, 50}}});
     Rng rng(10);
     std::vector<std::future<RemoteResult>> futures;
     for (int i = 0; i < 64; ++i)
@@ -502,13 +501,7 @@ TEST(NetServe, SlowReaderGetsEveryResponseBuffered)
 
 TEST(NetServe, HalfCloseStillDeliversOwedResponses)
 {
-    NetServerOptions net = quickServer();
-    // Deadline-only flushing keeps the burst unanswered until well
-    // after the EOF lands, so delivery depends on the half-close drain
-    // contract, not on the replies racing the shutdown.
-    net.serve.maxBatch = 1024;
-    net.serve.maxDelay = std::chrono::milliseconds(50);
-    NetServer server(net);
+    NetServer server(quickServer());
 
     NetClient control("127.0.0.1", server.port());
     std::uint32_t id = 0;
@@ -516,6 +509,11 @@ TEST(NetServe, HalfCloseStillDeliversOwedResponses)
                                      testCompileOptions(), &id),
               wire::Status::Ok);
 
+    // Stalled workers keep the burst unanswered until well after the
+    // EOF lands, so delivery depends on the half-close drain contract,
+    // not on the replies racing the shutdown.
+    const FaultGuard faults({{fault::Site::ServeWorkerStall,
+                              fault::Rule{1.0, 24, 50}}});
     RawConn conn(server.port());
     Rng rng(23);
     const int kRequests = 8;
@@ -673,11 +671,7 @@ TEST(NetServe, GarbageBytesGetBadFrameAndOthersSurvive)
 
 TEST(NetServe, GracefulDrainCompletesInFlightWork)
 {
-    NetServerOptions net = quickServer(2);
-    // A long deadline keeps the burst in flight when shutdown lands.
-    net.serve.maxBatch = 1024;
-    net.serve.maxDelay = std::chrono::milliseconds(40);
-    NetServer server(net);
+    NetServer server(quickServer(2));
     NetClient client("127.0.0.1", server.port());
 
     std::uint32_t id = 0;
@@ -685,6 +679,9 @@ TEST(NetServe, GracefulDrainCompletesInFlightWork)
                                     testCompileOptions(), &id),
               wire::Status::Ok);
 
+    // 40ms worker stalls keep the burst in flight when shutdown lands.
+    const FaultGuard faults({{fault::Site::ServeWorkerStall,
+                              fault::Rule{1.0, 25, 40}}});
     Rng rng(18);
     std::vector<std::future<RemoteResult>> futures;
     for (int i = 0; i < 32; ++i)
@@ -718,17 +715,17 @@ TEST(NetServe, RequestShutdownFromBackgroundThreadStops)
 
 TEST(NetServe, ShutdownAnswersNewWorkShuttingDown)
 {
-    NetServerOptions net = quickServer();
-    net.serve.maxBatch = 1024;
-    net.serve.maxDelay = std::chrono::milliseconds(60);
-    NetServer server(net);
+    NetServer server(quickServer());
     NetClient client("127.0.0.1", server.port());
     std::uint32_t id = 0;
     ASSERT_EQ(client.registerDesign(testWeights(24, 19),
                                     testCompileOptions(), &id),
               wire::Status::Ok);
 
-    // Hold one request in flight so the drain has work to finish.
+    // Hold one request in flight (a 60ms worker stall) so the drain
+    // has work to finish.
+    const FaultGuard faults({{fault::Site::ServeWorkerStall,
+                              fault::Rule{1.0, 26, 60}}});
     Rng rng(20);
     auto held = client.submit(
         id, Request::gemv(makeSignedVector(24, 8, rng)));

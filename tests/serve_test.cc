@@ -1,4 +1,5 @@
 // Tests of the online serving layer: batcher flush-policy boundaries,
+// work-conserving idle cuts and coalescing behind a busy worker,
 // bit-exactness of scattered outputs against direct engine calls,
 // scheduler fairness across designs, the DesignStore LRU, the
 // DesignCache atomic stats snapshot, and the --seed threading through
@@ -11,6 +12,7 @@
 #include <thread>
 
 #include "circuit/jit.h"
+#include "common/fault.h"
 #include "core/batch_engine.h"
 #include "core/compiler.h"
 #include "experiments/sweep.h"
@@ -55,13 +57,49 @@ pendingGemv(std::size_t dim, Rng &rng,
     return pending;
 }
 
+/**
+ * Holds the only worker of a 1-worker server: submits one plug Gemv
+ * to `design` and returns once the worker has taken it and entered an
+ * injected serve.worker:stall.  Requests submitted while the hold
+ * lasts coalesce in their design's open group.  Only the plug stalls;
+ * every later group runs at once.  The plug itself comes back as a
+ * 1-lane idle-cut group.
+ */
+class WorkerHold
+{
+  public:
+    static constexpr std::uint64_t kStallMs = 250;
+
+    WorkerHold(Server &server, DesignId design, std::size_t dim)
+    {
+        auto &plan = fault::FaultPlan::instance();
+        plan.clear();
+        plan.configure(fault::Site::ServeWorkerStall,
+                       fault::Rule{1.0, 1, kStallMs});
+        Rng rng(5);
+        plug_ = server.submit(design,
+                              Request::gemv(makeSignedVector(dim, 8, rng)));
+        while (plan.injected(fault::Site::ServeWorkerStall) == 0)
+            std::this_thread::yield();
+        plan.clear();
+    }
+
+    ~WorkerHold() { fault::FaultPlan::instance().clear(); }
+
+    /** The plug's response (blocks until the stall has ended). */
+    Response plug() { return plug_.get(); }
+
+  private:
+    std::future<Response> plug_;
+};
+
 // ---------------------------------------------------------------------
 // Batcher policy boundaries (driven directly, virtual clock)
 // ---------------------------------------------------------------------
 
 TEST(Batcher, ExactFillFlushesImmediately)
 {
-    Batcher batcher(0, BatchPolicy{64, std::chrono::microseconds(1000)});
+    Batcher batcher(0, 64);
     Rng rng(1);
     const auto t0 = Clock::now();
     for (int i = 0; i < 63; ++i)
@@ -74,12 +112,12 @@ TEST(Batcher, ExactFillFlushesImmediately)
     EXPECT_EQ(flushed[0].requests.size(), 64u);
     EXPECT_EQ(flushed[0].reason, FlushReason::Full);
     EXPECT_EQ(batcher.pendingLanes(), 0u);
-    EXPECT_FALSE(batcher.deadline().has_value());
+    EXPECT_FALSE(batcher.oldestSubmit().has_value());
 }
 
 TEST(Batcher, OverflowShipsOpenGroupFirst)
 {
-    Batcher batcher(0, BatchPolicy{64, std::chrono::microseconds(1000)});
+    Batcher batcher(0, 64);
     Rng rng(2);
     const auto t0 = Clock::now();
     for (int i = 0; i < 60; ++i)
@@ -95,80 +133,35 @@ TEST(Batcher, OverflowShipsOpenGroupFirst)
     EXPECT_EQ(flushed[0].lanes, 60u);
     EXPECT_EQ(flushed[0].reason, FlushReason::Full);
     EXPECT_EQ(batcher.pendingLanes(), 10u);
-    EXPECT_TRUE(batcher.deadline().has_value());
+    EXPECT_EQ(batcher.pendingRequests(), 1u);
 }
 
-TEST(Batcher, DeadlineExpiryWithOneQueuedRequest)
+TEST(Batcher, OpenGroupWaitsForItsCutWhateverItsAge)
 {
-    const auto delay = std::chrono::microseconds(1000);
-    Batcher batcher(0, BatchPolicy{64, delay});
+    // No clock cuts a group: stale requests keep coalescing until the
+    // lane budget fills or the owner cuts the group as it stands.
+    Batcher batcher(0, 64);
     Rng rng(3);
-    const auto t0 = Clock::now();
-    ASSERT_TRUE(batcher.enqueue(pendingGemv(8, rng, t0), t0).empty());
-    ASSERT_TRUE(batcher.deadline().has_value());
-    EXPECT_EQ(*batcher.deadline(), t0 + delay);
-
-    EXPECT_FALSE(batcher.pollDeadline(t0).has_value());
-    EXPECT_FALSE(
-        batcher.pollDeadline(t0 + delay / 2).has_value());
-    auto flushed = batcher.pollDeadline(t0 + delay);
-    ASSERT_TRUE(flushed.has_value());
-    EXPECT_EQ(flushed->lanes, 1u);
-    EXPECT_EQ(flushed->reason, FlushReason::Deadline);
-    EXPECT_EQ(batcher.pendingRequests(), 0u);
-}
-
-TEST(Batcher, StaleSubmitDoesNotOpenExpiredGroup)
-{
-    // Regression: the group deadline used to derive from the first
-    // request's submitAt, so a request that waited in the server queue
-    // longer than maxDelay opened a group that was born expired and
-    // flushed with a single lane.  The deadline must count from when
-    // the group opens.
-    const auto delay = std::chrono::microseconds(1000);
-    Batcher batcher(0, BatchPolicy{64, delay});
-    Rng rng(9);
     const auto now = Clock::now();
-    const auto stale_submit = now - 10 * delay;
+    const auto stale = now - std::chrono::seconds(10);
+    for (int i = 0; i < 8; ++i) {
+        const auto at = stale + std::chrono::milliseconds(i);
+        EXPECT_TRUE(batcher
+                        .enqueue(pendingGemv(8, rng, at),
+                                 now + std::chrono::hours(1))
+                        .empty());
+    }
+    ASSERT_TRUE(batcher.oldestSubmit().has_value());
+    EXPECT_EQ(*batcher.oldestSubmit(), stale);
 
-    EXPECT_TRUE(batcher.enqueue(pendingGemv(8, rng, stale_submit), now)
-                    .empty());
-    ASSERT_TRUE(batcher.deadline().has_value());
-    EXPECT_EQ(*batcher.deadline(), now + delay);
-    EXPECT_FALSE(batcher.pollDeadline(now).has_value());
-
-    // Under backlog, further stale requests keep batching into the
-    // open group for the full maxDelay window.
-    for (int i = 0; i < 7; ++i)
-        EXPECT_TRUE(
-            batcher.enqueue(pendingGemv(8, rng, stale_submit), now)
-                .empty());
-    EXPECT_FALSE(batcher
-                     .pollDeadline(now + delay -
-                                   std::chrono::microseconds(1))
-                     .has_value());
-
-    auto group = batcher.pollDeadline(now + delay);
+    auto group = batcher.flush(FlushReason::Idle, now);
     ASSERT_TRUE(group.has_value());
-    EXPECT_EQ(group->reason, FlushReason::Deadline);
+    EXPECT_EQ(group->reason, FlushReason::Idle);
     EXPECT_EQ(group->lanes, 8u);
     EXPECT_EQ(group->requests.size(), 8u);
-}
-
-TEST(Batcher, FutureSubmitKeepsItsOwnDeadline)
-{
-    // A submitAt ahead of `now` (virtual clocks, clock skew) still
-    // anchors the deadline at the later of the two.
-    const auto delay = std::chrono::microseconds(1000);
-    Batcher batcher(0, BatchPolicy{64, delay});
-    Rng rng(10);
-    const auto now = Clock::now();
-    const auto future_submit = now + 5 * delay;
-
-    EXPECT_TRUE(batcher.enqueue(pendingGemv(8, rng, future_submit), now)
-                    .empty());
-    ASSERT_TRUE(batcher.deadline().has_value());
-    EXPECT_EQ(*batcher.deadline(), future_submit + delay);
+    EXPECT_EQ(group->flushAt, now);
+    EXPECT_EQ(batcher.pendingRequests(), 0u);
+    EXPECT_FALSE(batcher.flush(FlushReason::Idle, now).has_value());
 }
 
 TEST(LatencySummary, NearestRankPercentilesOnSmallSamples)
@@ -216,7 +209,7 @@ TEST(LatencySummary, NearestRankPercentilesOnSmallSamples)
 
 TEST(Batcher, OversizedBatchFlushesAlone)
 {
-    Batcher batcher(0, BatchPolicy{64, std::chrono::microseconds(1000)});
+    Batcher batcher(0, 64);
     Rng rng(4);
     PendingRequest block;
     block.request = Request::gemvBatch(makeSignedBatch(100, 8, 8, rng));
@@ -239,7 +232,6 @@ TEST(Server, ScatteredOutputsBitExactWithDirectEngine)
 
     ServeOptions options;
     options.maxBatch = 64;
-    options.maxDelay = std::chrono::milliseconds(200);
     options.workers = 2;
     Server server(options);
     const DesignId id = server.registerDesign(weights, compile);
@@ -292,12 +284,12 @@ TEST(Server, ExactSixtyFourLaneFillFlushesFullWithoutPadding)
     const std::size_t dim = 16;
     ServeOptions options;
     options.maxBatch = 64;
-    options.maxDelay = std::chrono::seconds(30); // never expires here
     options.workers = 1;
     Server server(options);
     const DesignId id =
         server.registerDesign(testWeights(dim, 21), testCompileOptions());
 
+    WorkerHold hold(server, id, dim);
     Rng rng(22);
     std::vector<std::future<Response>> futures;
     for (int i = 0; i < 64; ++i)
@@ -308,39 +300,101 @@ TEST(Server, ExactSixtyFourLaneFillFlushesFullWithoutPadding)
         EXPECT_EQ(resp.flushReason, FlushReason::Full);
         EXPECT_EQ(resp.groupLanes, 64u);
     }
+    EXPECT_EQ(hold.plug().groupLanes, 1u);
     const auto stats = server.stats();
-    EXPECT_EQ(stats.groups, 1u);
-    EXPECT_EQ(stats.lanes, 64u);
-    EXPECT_EQ(stats.paddedLanes, 64u); // exact fill: no padding
+    EXPECT_EQ(stats.groups, 2u);
+    EXPECT_EQ(stats.lanes, 65u);
+    // The plug pads 1 -> 64; the exact fill adds no padding.
+    EXPECT_EQ(stats.paddedLanes, 128u);
     EXPECT_EQ(stats.flushFull, 1u);
-    EXPECT_EQ(stats.flushDeadline, 0u);
+    EXPECT_EQ(stats.flushDeadline, 1u); // the plug
 }
 
-TEST(Server, DeadlineFlushesSingleQueuedRequest)
+TEST(Server, IdleServerCutsLoneRequestAtOnce)
 {
     const std::size_t dim = 16;
-    const auto delay = std::chrono::milliseconds(5);
     ServeOptions options;
     options.maxBatch = 64;
-    options.maxDelay = delay;
     options.workers = 1;
     Server server(options);
     const DesignId id =
         server.registerDesign(testWeights(dim, 31), testCompileOptions());
 
     Rng rng(32);
-    auto future =
-        server.submit(id, Request::gemv(makeSignedVector(dim, 8, rng)));
-    // No drain: only the deadline timer can flush this request.
-    const auto resp = future.get();
-    EXPECT_EQ(resp.flushReason, FlushReason::Deadline);
+    const auto x = makeSignedVector(dim, 8, rng);
+    // No drain: only an idle worker can cut this request's group.
+    const auto resp = server.submit(id, Request::gemv(x)).get();
+    EXPECT_EQ(resp.flushReason, FlushReason::Idle);
     EXPECT_EQ(resp.groupLanes, 1u);
-    EXPECT_GE(resp.flushAt - resp.submitAt,
-              delay - std::chrono::milliseconds(1));
+    EXPECT_EQ(resp.vector(), core::TiledGemv(*server.design(id)).multiply(x));
     const auto stats = server.stats();
     EXPECT_EQ(stats.flushDeadline, 1u);
     EXPECT_EQ(stats.lanes, 1u);
     EXPECT_EQ(stats.paddedLanes, 64u); // padded up to the lane boundary
+}
+
+TEST(Server, BusyWorkerCoalescesQueuedRequestsIntoOneGroup)
+{
+    const std::size_t dim = 16;
+    const std::size_t n = 24;
+    ServeOptions options;
+    options.maxBatch = 64;
+    options.workers = 1;
+    Server server(options);
+    const DesignId id =
+        server.registerDesign(testWeights(dim, 33), testCompileOptions());
+
+    WorkerHold hold(server, id, dim);
+    Rng rng(34);
+    IntMatrix direct(n, dim);
+    std::vector<std::future<Response>> futures;
+    for (std::size_t b = 0; b < n; ++b) {
+        const auto x = makeSignedVector(dim, 8, rng);
+        for (std::size_t r = 0; r < dim; ++r)
+            direct.at(b, r) = x[r];
+        futures.push_back(server.submit(id, Request::gemv(x)));
+    }
+
+    // The worker comes back from the plug and cuts everything that
+    // queued behind it as one group.
+    const IntMatrix expected =
+        server.design(id)->multiplyBatchWide(direct);
+    for (std::size_t b = 0; b < n; ++b) {
+        const auto resp = futures[b].get();
+        EXPECT_EQ(resp.flushReason, FlushReason::Idle);
+        EXPECT_EQ(resp.groupLanes, n);
+        for (std::size_t c = 0; c < dim; ++c)
+            EXPECT_EQ(resp.output.at(0, c), expected.at(b, c));
+    }
+    EXPECT_EQ(hold.plug().groupLanes, 1u);
+    const auto stats = server.stats();
+    EXPECT_EQ(stats.groups, 2u);
+    EXPECT_EQ(stats.lanes, n + 1);
+    EXPECT_EQ(stats.flushDeadline, 2u);
+}
+
+TEST(Server, WatchdogShedsOpenGroupBehindStalledWorker)
+{
+    // With every worker stalled nothing cuts the open group, so the
+    // queue-age watchdog must age it out directly.
+    const std::size_t dim = 16;
+    ServeOptions options;
+    options.workers = 1;
+    options.maxQueueAge = std::chrono::milliseconds(20);
+    Server server(options);
+    const DesignId id =
+        server.registerDesign(testWeights(dim, 35), testCompileOptions());
+
+    WorkerHold hold(server, id, dim);
+    Rng rng(36);
+    std::vector<std::future<Response>> futures;
+    for (int i = 0; i < 5; ++i)
+        futures.push_back(server.submit(
+            id, Request::gemv(makeSignedVector(dim, 8, rng))));
+    for (auto &future : futures)
+        EXPECT_TRUE(future.get().shed);
+    EXPECT_FALSE(hold.plug().shed);
+    EXPECT_EQ(server.stats().watchdogShed, 5u);
 }
 
 TEST(Server, PartialGroupPadsToLaneBoundaryBitExactly)
@@ -349,12 +403,12 @@ TEST(Server, PartialGroupPadsToLaneBoundaryBitExactly)
     const auto weights = testWeights(dim, 41);
     ServeOptions options;
     options.maxBatch = 256;
-    options.maxDelay = std::chrono::seconds(30);
     options.workers = 1;
     Server server(options);
     const DesignId id =
         server.registerDesign(weights, testCompileOptions());
 
+    WorkerHold hold(server, id, dim);
     Rng rng(42);
     IntMatrix direct(3, dim);
     std::vector<std::future<Response>> futures;
@@ -364,7 +418,7 @@ TEST(Server, PartialGroupPadsToLaneBoundaryBitExactly)
             direct.at(b, r) = x[r];
         futures.push_back(server.submit(id, Request::gemv(x)));
     }
-    server.drain();
+    server.drain(); // cuts the open group while the worker is held
 
     const IntMatrix expected =
         server.design(id)->multiplyBatchWide(direct);
@@ -376,8 +430,8 @@ TEST(Server, PartialGroupPadsToLaneBoundaryBitExactly)
             EXPECT_EQ(resp.output.at(0, c), expected.at(b, c));
     }
     const auto stats = server.stats();
-    EXPECT_EQ(stats.lanes, 3u);
-    EXPECT_EQ(stats.paddedLanes, 64u);
+    EXPECT_EQ(stats.lanes, 4u);          // 3 + the plug
+    EXPECT_EQ(stats.paddedLanes, 128u); // each group pads to 64
     EXPECT_EQ(stats.flushDrain, 1u);
 }
 
@@ -392,7 +446,6 @@ TEST(Server, TiledDesignServesBitExactly)
 
     ServeOptions options;
     options.maxBatch = 64;
-    options.maxDelay = std::chrono::milliseconds(100);
     options.workers = 2;
     options.tile.onesBudget = 200; // far below the design's ones-cost
     Server server(options);
@@ -516,7 +569,6 @@ TEST(Server, RoundRobinKeepsColdDesignAheadOfHotBacklog)
     const std::size_t dim = 96;
     ServeOptions options;
     options.maxBatch = 256;
-    options.maxDelay = std::chrono::seconds(30);
     options.workers = 1; // serialize execution so ordering is observable
     Server server(options);
     const DesignId hot =
@@ -543,6 +595,42 @@ TEST(Server, RoundRobinKeepsColdDesignAheadOfHotBacklog)
     // Round-robin must schedule the cold group before the hot
     // backlog finishes; FIFO across one queue would run it last.
     EXPECT_LT(coldDone, lastHot);
+}
+
+TEST(Server, RoundRobinCutsLoneColdRequestAheadOfHotBacklog)
+{
+    // A lone request never fills its group, so only a worker's idle cut
+    // moves it.  That cut must take its round-robin turn even while the
+    // hot design keeps full groups ready.
+    const std::size_t dim = 96;
+    ServeOptions options;
+    options.maxBatch = 256;
+    options.workers = 1;
+    Server server(options);
+    const DesignId hot =
+        server.registerDesign(testWeights(dim, 74), testCompileOptions());
+    const DesignId cold =
+        server.registerDesign(testWeights(dim, 75), testCompileOptions());
+
+    WorkerHold hold(server, hot, dim);
+    Rng rng(76);
+    std::vector<std::future<Response>> hotFutures;
+    for (int g = 0; g < 6; ++g)
+        hotFutures.push_back(server.submit(
+            hot,
+            Request::gemvBatch(makeSignedBatch(256, dim, 8, rng))));
+    auto coldFuture =
+        server.submit(cold, Request::gemv(makeSignedVector(dim, 8, rng)));
+
+    // No drain: a drain would cut the cold group and hide the idle cut.
+    const auto cold_resp = coldFuture.get();
+    EXPECT_EQ(cold_resp.flushReason, FlushReason::Idle);
+    EXPECT_EQ(cold_resp.groupLanes, 1u);
+    std::chrono::time_point<Clock> lastHot{};
+    for (auto &future : hotFutures)
+        lastHot = std::max(lastHot, future.get().doneAt);
+    EXPECT_LT(cold_resp.doneAt, lastHot);
+    hold.plug();
 }
 
 // ---------------------------------------------------------------------
@@ -689,7 +777,6 @@ TEST(Server, JitServingBitExactWithAdmissionStats)
 
     ServeOptions options;
     options.maxBatch = 64;
-    options.maxDelay = std::chrono::milliseconds(100);
     options.workers = 2;
     options.sim.jit = true;
     Server server(options);

@@ -580,7 +580,6 @@ TEST(TieredServing, LargeDesignSpillsAndServesFromDisk)
     TempDir dir("acceptance");
     serve::ServeOptions options;
     options.workers = 2;
-    options.maxDelay = std::chrono::milliseconds(50);
     options.storeCapacity = 1;
     options.storeSpillDir = dir.path.string();
     serve::Server server(options);
