@@ -10,6 +10,13 @@ ExecPlan::ExecPlan(const Netlist &netlist)
       numInputPorts_(netlist.numInputPorts()),
       registerBits_(netlist.registerBits())
 {
+    comb_.reserve(netlist.countKind(CompKind::Not) +
+                  netlist.countKind(CompKind::And));
+    regs_.reserve(netlist.countKind(CompKind::Dff) +
+                  netlist.countKind(CompKind::Adder) +
+                  netlist.countKind(CompKind::Sub));
+    inputs_.reserve(netlist.countKind(CompKind::Input));
+    constOnes_.reserve(netlist.countKind(CompKind::Const1));
     const auto n = static_cast<NodeId>(numNodes_);
     for (NodeId id = 0; id < n; ++id) {
         switch (netlist.kind(id)) {
@@ -83,7 +90,14 @@ Segmentation::Segmentation(const ExecPlan &plan, std::size_t ops_per_segment)
     // comb ops propagate within the cycle.  Both tapes are sorted by
     // dst (comb ascending, regs descending) and every source id is
     // below its dst, so one ascending id walk resolves all depths.
+    //
+    // The same walk renumbers the value slots that no op writes
+    // (inputs and constants, never written by a sweep): they keep the
+    // front of the slot space in id order.
     std::vector<std::uint32_t> depth(num_slots, 0);
+    std::vector<std::uint32_t> ops_at_depth;
+    slotOf_.assign(num_slots, 0);
+    NodeId next_slot = 0;
     std::size_t ci = 0;
     std::size_t ri = plan_regs.size();
     for (NodeId id = 0; id < num_nodes; ++id) {
@@ -93,59 +107,56 @@ Segmentation::Segmentation(const ExecPlan &plan, std::size_t ops_per_segment)
         } else if (ri > 0 && plan_regs[ri - 1].dst == id) {
             const auto &op = plan_regs[--ri];
             depth[id] = std::max(depth[op.a], depth[op.b]) + 1;
+        } else {
+            slotOf_[id] = next_slot++;
+            continue;
         }
+        if (depth[id] >= ops_at_depth.size())
+            ops_at_depth.resize(depth[id] + 1, 0);
+        ++ops_at_depth[depth[id]];
     }
 
-    // Order every op by (depth, dst).  Sources sort strictly before
-    // their consumers (comb sources at the same depth have lower ids;
-    // register sources sit one depth below), so the comb subsequence
-    // stays topological while nodes that quiesce together share
-    // segments.
-    struct Slot
-    {
-        std::uint64_t key;
-        std::uint32_t index;
-        bool isReg;
-    };
-    std::vector<Slot> order;
-    order.reserve(plan_comb.size() + plan_regs.size());
-    const auto key = [&](NodeId dst) {
-        return (static_cast<std::uint64_t>(depth[dst]) << 32) | dst;
-    };
-    for (std::uint32_t i = 0; i < plan_comb.size(); ++i)
-        order.push_back(Slot{key(plan_comb[i].dst), i, false});
-    for (std::uint32_t i = 0; i < plan_regs.size(); ++i)
-        order.push_back(Slot{key(plan_regs[i].dst), i, true});
-    std::sort(order.begin(), order.end(),
-              [](const Slot &a, const Slot &b) { return a.key < b.key; });
-
-    // Renumber value slots into schedule order so each segment owns one
-    // contiguous slice of the value array: non-op nodes (inputs and
-    // constants, never written by a sweep) keep the front of the slot
-    // space in id order, op destinations follow in schedule order, and
-    // the ones/zero slots stay at numNodes and numNodes + 1 so a
-    // simulator's reset code is layout-agnostic.
-    std::vector<bool> is_op_dst(num_slots, false);
-    for (const auto &op : plan_comb)
-        is_op_dst[op.dst] = true;
-    for (const auto &op : plan_regs)
-        is_op_dst[op.dst] = true;
-    slotOf_.assign(num_slots, 0);
-    NodeId next_slot = 0;
-    for (NodeId id = 0; id < num_nodes; ++id)
-        if (!is_op_dst[id])
-            slotOf_[id] = next_slot++;
-    for (const Slot &slot : order) {
-        const NodeId dst = slot.isReg ? plan_regs[slot.index].dst
-                                      : plan_comb[slot.index].dst;
-        slotOf_[dst] = next_slot++;
+    // Schedule every op by (depth, dst) with a counting sort: each
+    // depth's ops get one contiguous run of slots after the non-op
+    // nodes, filled in ascending id order.  Sources land strictly
+    // before their consumers (comb sources at the same depth have
+    // lower ids; register sources sit one depth below), so the comb
+    // subsequence stays topological while nodes that quiesce together
+    // share segments.  Op destinations are renumbered into this
+    // schedule order, so each segment owns one contiguous slice of the
+    // value array; the ones/zero slots stay at numNodes and
+    // numNodes + 1 so a simulator's reset code is layout-agnostic.
+    const NodeId first_op_slot = next_slot;
+    std::vector<NodeId> depth_cursor(ops_at_depth.size());
+    for (std::size_t d = 0; d < ops_at_depth.size(); ++d) {
+        depth_cursor[d] = next_slot;
+        next_slot += ops_at_depth[d];
+    }
+    // Schedule position -> op: the op's tape index shifted left once,
+    // with the low bit set for register ops.
+    std::vector<std::uint32_t> order(next_slot - first_op_slot);
+    ci = 0;
+    ri = plan_regs.size();
+    for (NodeId id = 0; id < num_nodes; ++id) {
+        std::uint32_t op;
+        if (ci < plan_comb.size() && plan_comb[ci].dst == id)
+            op = static_cast<std::uint32_t>(ci++) << 1;
+        else if (ri > 0 && plan_regs[ri - 1].dst == id)
+            op = static_cast<std::uint32_t>(--ri) << 1 | 1u;
+        else
+            continue;
+        const NodeId slot = depth_cursor[depth[id]]++;
+        slotOf_[id] = slot;
+        order[slot - first_op_slot] = op;
     }
     slotOf_[num_nodes] = static_cast<NodeId>(num_nodes);         // ones
     slotOf_[num_nodes + 1] = static_cast<NodeId>(num_nodes + 1); // zero
 
     // Chunk into segments, rewriting every op into slot space, and
-    // record which segment owns each dst slot (for the frontier scan).
+    // record which segment owns each dst slot (for the frontier scan),
+    // tagged with kRegOwner when the slot is a register's.
     constexpr std::uint32_t kUnowned = 0xffffffffu;
+    constexpr std::uint32_t kRegOwner = 0x80000000u;
     std::vector<std::uint32_t> owner(num_slots, kUnowned);
     comb_.reserve(plan_comb.size());
     regs_.reserve(plan_regs.size());
@@ -158,19 +169,18 @@ Segmentation::Segmentation(const ExecPlan &plan, std::size_t ops_per_segment)
         seg.regBegin = static_cast<std::uint32_t>(regs_.size());
         const auto index = static_cast<std::uint32_t>(segments_.size());
         for (std::size_t i = first; i < last; ++i) {
-            const Slot &slot = order[i];
-            if (slot.isReg) {
-                const auto &op = plan_regs[slot.index];
-                owner[slotOf_[op.dst]] = index;
-                regs_.push_back(ExecPlan::RegOp{slotOf_[op.dst],
-                                                slotOf_[op.a],
+            const auto dst = static_cast<NodeId>(first_op_slot + i);
+            const std::uint32_t op_index = order[i] >> 1;
+            if (order[i] & 1u) {
+                const auto &op = plan_regs[op_index];
+                owner[dst] = index | kRegOwner;
+                regs_.push_back(ExecPlan::RegOp{dst, slotOf_[op.a],
                                                 slotOf_[op.b], op.bInv,
                                                 op.carryInit});
             } else {
-                const auto &op = plan_comb[slot.index];
-                owner[slotOf_[op.dst]] = index;
-                comb_.push_back(ExecPlan::CombOp{slotOf_[op.dst],
-                                                 slotOf_[op.a],
+                const auto &op = plan_comb[op_index];
+                owner[dst] = index;
+                comb_.push_back(ExecPlan::CombOp{dst, slotOf_[op.a],
                                                  slotOf_[op.b], op.inv});
             }
         }
@@ -179,7 +189,6 @@ Segmentation::Segmentation(const ExecPlan &plan, std::size_t ops_per_segment)
         segments_.push_back(seg);
     }
 
-
     inputs_.reserve(plan.inputs().size());
     for (const auto &in : plan.inputs())
         inputs_.push_back(ExecPlan::InputOp{slotOf_[in.node], in.port});
@@ -187,46 +196,34 @@ Segmentation::Segmentation(const ExecPlan &plan, std::size_t ops_per_segment)
     for (const auto node : plan.constOnes())
         constOnes_.push_back(slotOf_[node]);
 
-    // Frontier: the distinct segments owning each segment's sources,
-    // plus itself when it has registers (carries are self-feeding).
-    // Input-node sources become the readsInputs flag instead; constant
-    // sources (Const0/Const1 and the ones/zero slots) never change
-    // after reset and contribute nothing.  Scanned in slot space,
-    // where the rewritten ops and the owner map live.
-    std::vector<bool> is_input(num_slots, false);
-    for (const auto &in : inputs_)
-        is_input[in.node] = true;
-    std::vector<bool> is_reg_dst(num_slots, false);
-    for (const auto &op : regs_)
-        is_reg_dst[op.dst] = true;
-
+    // Frontier: the distinct segments owning each segment's sources.
+    // Input and constant sources are unowned: constants never change
+    // after reset, and cycles whose driven planes changed run the dense
+    // fallback, which executes every segment anyway.  Scanned in slot
+    // space, where the rewritten ops and the owner map live.  Segments
+    // are visited in ascending order, so every readers list comes out
+    // sorted, and checking its back keeps it duplicate-free.
     const std::size_t num_segments = segments_.size();
     std::vector<std::vector<std::uint32_t>> comb_readers(num_segments);
     std::vector<std::vector<std::uint32_t>> reg_readers(num_segments);
     for (std::size_t s = 0; s < num_segments; ++s) {
-        Segment &seg = segments_[s];
+        const Segment &seg = segments_[s];
+        const auto reader = static_cast<std::uint32_t>(s);
         const auto addSource = [&](NodeId src) {
-            // Input sources need no index: cycles whose driven planes
-            // changed run the dense fallback, which executes every
-            // segment anyway.  Constants never change after reset.
-            if (is_input[src])
-                return;
-            const std::uint32_t i = owner[src];
-            if (i == kUnowned)
-                return;
+            const std::uint32_t tagged = owner[src];
+            const std::uint32_t i = tagged & ~kRegOwner;
             // The inverse index (who to wake on a change), split by
             // what is being read: comb values propagate within the
             // cycle, register values only after the next flip.  Reads
             // inside the owning segment need no wake — a segment
             // recomputes everything when it runs, and its own register
             // changes re-arm it via the reg_change self-wake.
-            if (i == s)
+            if (tagged == kUnowned || i == reader)
                 return;
-            auto &readers = is_reg_dst[src] ? reg_readers[i]
-                                            : comb_readers[i];
-            if (readers.empty() ||
-                readers.back() != static_cast<std::uint32_t>(s))
-                readers.push_back(static_cast<std::uint32_t>(s));
+            auto &readers = (tagged & kRegOwner) != 0 ? reg_readers[i]
+                                                      : comb_readers[i];
+            if (readers.empty() || readers.back() != reader)
+                readers.push_back(reader);
         };
         for (std::uint32_t i = seg.combBegin; i < seg.combEnd; ++i) {
             addSource(comb_[i].a);
@@ -240,11 +237,8 @@ Segmentation::Segmentation(const ExecPlan &plan, std::size_t ops_per_segment)
 
     for (std::size_t s = 0; s < num_segments; ++s) {
         Segment &seg = segments_[s];
-        const auto pack = [&](std::vector<std::uint32_t> &readers,
+        const auto pack = [&](const std::vector<std::uint32_t> &readers,
                               std::uint32_t &begin, std::uint32_t &end) {
-            std::sort(readers.begin(), readers.end());
-            readers.erase(std::unique(readers.begin(), readers.end()),
-                          readers.end());
             begin = static_cast<std::uint32_t>(consumers_.size());
             consumers_.insert(consumers_.end(), readers.begin(),
                               readers.end());
@@ -254,7 +248,6 @@ Segmentation::Segmentation(const ExecPlan &plan, std::size_t ops_per_segment)
              seg.combConsumersEnd);
         pack(reg_readers[s], seg.regConsumersBegin, seg.regConsumersEnd);
     }
-
 }
 
 } // namespace spatial::circuit

@@ -66,11 +66,14 @@ void
 DesignStore::demote(std::vector<Demotion> demotions)
 {
     // Serialization is file I/O over potentially tens of megabytes;
-    // it must not run under the store mutex.  Overwriting a file the
-    // key already has is harmless (same bytes, atomic rename).
-    for (const auto &[key, design] : demotions)
-        if (cold_->put(key, *design))
+    // it must not run under the store mutex.  Spill files are
+    // write-once, so a design demoted before costs only a stat, and
+    // only files actually written count as demotions.
+    for (const auto &[key, design] : demotions) {
+        bool written = false;
+        if (cold_->put(key, *design, &written) && written)
             demotions_.fetch_add(1, std::memory_order_relaxed);
+    }
 }
 
 void
@@ -164,47 +167,45 @@ DesignStore::get(const experiments::DesignKey &key,
 
             // Cold tier first: a demoted design rematerializes from
             // its spill file — netlist replay plus plan rebuild, not
-            // a recompile.  Any validation failure falls back.
+            // a recompile.  Any validation failure falls back, and
+            // the unusable file is erased so the next demotion writes
+            // a fresh one (spill files are otherwise write-once).
             if (cold_ != nullptr) {
                 const auto start = std::chrono::steady_clock::now();
                 const auto status = cold_->get(key, &design);
-                if (status == store::LoadStatus::Ok) {
+                std::string unusable;
+                if (status != store::LoadStatus::Ok &&
+                    status != store::LoadStatus::NotFound)
+                    unusable = store::loadStatusName(status);
+#ifndef NDEBUG
+                // Debug builds statically verify every rematerialized
+                // design; a checksum-valid file whose artifacts break
+                // an invariant falls back exactly like a Corrupt load.
+                if (design != nullptr) {
+                    const analysis::Report report =
+                        analysis::verifyDesign(*design);
+                    if (!report.ok()) {
+                        design = nullptr;
+                        unusable = "failed verification: " +
+                                   report.diagnostics.front().rule;
+                    }
+                }
+#endif
+                if (design != nullptr) {
                     promotions_.fetch_add(1,
                                           std::memory_order_relaxed);
                     loadMicros_.fetch_add(
                         static_cast<std::uint64_t>(
                             secondsSince(start) * 1e6),
                         std::memory_order_relaxed);
-                } else if (status != store::LoadStatus::NotFound) {
+                } else if (!unusable.empty()) {
                     coldFallbacks_.fetch_add(
                         1, std::memory_order_relaxed);
-                    SPATIAL_WARN(
-                        "store: cold design ", cold_->pathFor(key),
-                        " unusable (",
-                        store::loadStatusName(status),
-                        "); recompiling");
+                    SPATIAL_WARN("store: cold design ",
+                                 cold_->pathFor(key), " unusable (",
+                                 unusable, "); recompiling");
+                    cold_->erase(key);
                 }
-#ifndef NDEBUG
-                // Debug builds statically verify every rematerialized
-                // design; a checksum-valid file whose artifacts break
-                // an invariant falls back to a recompile exactly like
-                // a Corrupt load status.
-                if (design != nullptr) {
-                    const analysis::Report report =
-                        analysis::verifyDesign(*design);
-                    if (!report.ok()) {
-                        design = nullptr;
-                        coldFallbacks_.fetch_add(
-                            1, std::memory_order_relaxed);
-                        SPATIAL_WARN(
-                            "store: cold design ",
-                            cold_->pathFor(key),
-                            " failed verification (",
-                            report.diagnostics.front().rule,
-                            "); recompiling");
-                    }
-                }
-#endif
             }
             if (design == nullptr) {
                 // Injection sites: an admission latency spike, and a

@@ -16,11 +16,15 @@
  * it is serialized to the cold tier (store::ColdTier) before the hot
  * entry drops — and a later request for the key *promotes* it back by
  * loading the file instead of recompiling, several times faster at
- * the dims where compiles take seconds.  A cold file that fails
- * validation (truncated, checksum mismatch, wrong version) falls back
- * to a recompile with a logged warning; tiering is an optimization,
- * never a correctness dependency.  Without a spill directory,
- * eviction drops the entry outright (the pre-tiering behavior).
+ * the dims where compiles take seconds.  Spill files are write-once:
+ * a design's key is its content hash plus CompileOptions, so its
+ * bytes never change, and demoting a design whose file is already on
+ * disk writes nothing.  A cold file that fails validation (truncated,
+ * checksum mismatch, wrong version) falls back to a recompile with a
+ * logged warning and is erased, so the next demotion writes it fresh;
+ * tiering is an optimization, never a correctness dependency.
+ * Without a spill directory, eviction drops the entry outright (the
+ * pre-tiering behavior).
  *
  * Designs are compiled as column-strip tiles under StoreOptions::tile
  * (core::TiledDesign), so a dim-8192 registration works exactly like
@@ -90,7 +94,11 @@ class DesignStore
         std::size_t evictions = 0; //!< hot entries dropped by the LRU
         std::size_t resident = 0;  //!< hot entries currently held
 
-        /** Evictions serialized into the cold tier. */
+        /**
+         * Evictions that wrote a cold-tier file.  An eviction whose
+         * file is already on disk writes nothing (spill files are
+         * write-once) and counts in `evictions` only.
+         */
         std::size_t demotions = 0;
 
         /** Misses served by loading a cold-tier file. */
@@ -98,7 +106,8 @@ class DesignStore
 
         /**
          * Cold files rejected (checksum/corruption/version) and
-         * recompiled instead; each leaves a logged warning.
+         * recompiled instead; each leaves a logged warning and erases
+         * the file, so the next demotion rewrites it.
          */
         std::size_t coldFallbacks = 0;
 

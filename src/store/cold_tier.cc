@@ -54,9 +54,18 @@ ColdTier::pathFor(const experiments::DesignKey &key) const
 
 bool
 ColdTier::put(const experiments::DesignKey &key,
-              const core::TiledDesign &design)
+              const core::TiledDesign &design, bool *written)
 {
+    if (written != nullptr)
+        *written = false;
     const std::string path = pathFor(key);
+    // Write-once: the name is content-addressed and a file is only
+    // ever published complete (fsync, then rename), so an existing
+    // file already holds these bytes.  A file a load found unusable is
+    // erased by the caller, so the next spill writes a fresh one.
+    std::error_code ec;
+    if (fs::exists(path, ec))
+        return true;
     // Injection site: the spill device is full / erroring (ENOSPC
     // model).  The design simply is not demoted; its next request
     // recompiles — the same contract as any real write failure.
@@ -72,7 +81,8 @@ ColdTier::put(const experiments::DesignKey &key,
     }
     if (synced)
         syncs_.fetch_add(1, std::memory_order_relaxed);
-    std::error_code ec;
+    if (written != nullptr)
+        *written = true;
     const auto size = fs::file_size(path, ec);
     // Injection site: a torn write that survived a crash — the
     // published file is truncated, so the next load reports

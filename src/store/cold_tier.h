@@ -13,6 +13,13 @@
  * a stale file from an incompatible revision) degrades to a miss,
  * never to serving the wrong design.
  *
+ * Spill files are write-once.  A design's name is its content hash
+ * plus CompileOptions, so the bytes for a key never change: put() on
+ * a key that already has a file writes nothing, and a re-demoted
+ * design costs a stat, not a re-serialization and an fsync.  A file
+ * that fails to load is erased by the caller, so the next spill
+ * replaces it.
+ *
  * Thread-safe: writes go through an atomic temp-file + rename, reads
  * open whichever complete file is current, and the counters are
  * atomics.  Durability is best-effort by design — a lost or corrupt
@@ -65,11 +72,16 @@ class ColdTier
     std::string pathFor(const experiments::DesignKey &key) const;
 
     /**
-     * Spill a design; overwrites any previous file for the key.
-     * Returns false (counted, warned) on I/O failure.
+     * Spill a design, once: when a file for the key already exists
+     * this writes nothing and returns true — the file name is
+     * content-addressed and only complete files are published, so it
+     * already holds these bytes.  A caller that finds a file unusable
+     * erase()s it so the next put writes a fresh one.  Returns false
+     * (counted, warned) on I/O failure.  `*written` (when non-null)
+     * reports whether this call wrote a file.
      */
     bool put(const experiments::DesignKey &key,
-             const core::TiledDesign &design);
+             const core::TiledDesign &design, bool *written = nullptr);
 
     /**
      * Rematerialize the design for `key`.  NotFound when the key was

@@ -3,10 +3,10 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <utility>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "circuit/exec_plan.h"
@@ -526,15 +526,32 @@ loadDesignFile(const std::string &path,
                std::shared_ptr<const core::TiledDesign> *design,
                experiments::DesignKey *key)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    // POSIX I/O like the write path: one read() into a buffer sized by
+    // fstat.  Promotion runs on a requesting worker, so the load should
+    // cost the copy out of the page cache and no more.
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
         return LoadStatus::NotFound;
-    std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-    if (!in.good() && !in.eof())
+    struct stat st{};
+    if (::fstat(fd, &st) != 0) {
+        ::close(fd);
         return LoadStatus::Truncated;
-    return deserializeDesign(bytes.data(), bytes.size(), design, key);
+    }
+    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(st.st_size));
+    std::size_t filled = 0;
+    while (filled < bytes.size()) {
+        const ssize_t n =
+            ::read(fd, bytes.data() + filled, bytes.size() - filled);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            break; // an I/O error or a file shrunk under us
+        filled += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
+    // A short read leaves fewer bytes than the header declares, which
+    // deserializeDesign reports as Truncated.
+    return deserializeDesign(bytes.data(), filled, design, key);
 }
 
 } // namespace spatial::store

@@ -114,7 +114,13 @@ bool saveDesignFile(const std::string &path,
                     const core::TiledDesign &design,
                     bool *fsynced = nullptr);
 
-/** Read and deserialize `path`; NotFound when the file is absent. */
+/**
+ * Read and deserialize `path`: NotFound when the file cannot be
+ * opened, otherwise one POSIX read of the whole file (sized by fstat)
+ * followed by the same magic, version, length, checksum and
+ * structural checks as deserializeDesign.  A read error or a short
+ * read reports Truncated.
+ */
 LoadStatus loadDesignFile(const std::string &path,
                           std::shared_ptr<const core::TiledDesign> *design,
                           experiments::DesignKey *key = nullptr);

@@ -24,6 +24,7 @@
 #include "common/rng.h"
 #include "core/batch_engine.h"
 #include "core/compiler.h"
+#include "core/tiled_design.h"
 #include "matrix/generate.h"
 
 namespace
@@ -420,6 +421,255 @@ TEST(Segmentation, PartitionsEveryOpExactlyOnce)
         // The cache hands back the same immutable instance.
         EXPECT_EQ(seg.get(), plan.segmentation(ops_per_segment).get());
     }
+}
+
+/** A Segmentation's outputs, as referenceSegmentation() builds them. */
+struct ReferenceSegmentation
+{
+    std::vector<circuit::NodeId> slotOf;
+    std::vector<circuit::ExecPlan::CombOp> comb;
+    std::vector<circuit::ExecPlan::RegOp> regs;
+    std::vector<circuit::Segmentation::Segment> segments;
+    std::vector<std::uint32_t> consumers;
+};
+
+/**
+ * The schedule by a plain comparison sort of (depth << 32 | dst) keys
+ * and per-segment sorted, deduplicated consumer lists — the direct
+ * statement of the order the linear-time build must reproduce.
+ */
+ReferenceSegmentation
+referenceSegmentation(const circuit::ExecPlan &plan,
+                      std::size_t ops_per_segment)
+{
+    using circuit::NodeId;
+    const auto &plan_comb = plan.comb();
+    const auto &plan_regs = plan.regs();
+    const std::size_t num_slots = plan.numSlots();
+    const auto num_nodes = static_cast<NodeId>(plan.numNodes());
+
+    // Register depth per node: sources always have lower ids, so one
+    // ascending id walk over a dst -> op index resolves every depth.
+    const std::size_t kNone = ~std::size_t{0};
+    std::vector<std::size_t> comb_of(num_slots, kNone);
+    std::vector<std::size_t> reg_of(num_slots, kNone);
+    for (std::size_t i = 0; i < plan_comb.size(); ++i)
+        comb_of[plan_comb[i].dst] = i;
+    for (std::size_t i = 0; i < plan_regs.size(); ++i)
+        reg_of[plan_regs[i].dst] = i;
+    std::vector<std::uint32_t> depth(num_slots, 0);
+    for (NodeId id = 0; id < num_nodes; ++id) {
+        if (comb_of[id] != kNone) {
+            const auto &op = plan_comb[comb_of[id]];
+            depth[id] = std::max(depth[op.a], depth[op.b]);
+        } else if (reg_of[id] != kNone) {
+            const auto &op = plan_regs[reg_of[id]];
+            depth[id] = std::max(depth[op.a], depth[op.b]) + 1;
+        }
+    }
+
+    struct Slot
+    {
+        std::uint64_t key;
+        std::uint32_t index;
+        bool isReg;
+    };
+    std::vector<Slot> order;
+    const auto key = [&](NodeId dst) {
+        return (static_cast<std::uint64_t>(depth[dst]) << 32) | dst;
+    };
+    for (std::uint32_t i = 0; i < plan_comb.size(); ++i)
+        order.push_back(Slot{key(plan_comb[i].dst), i, false});
+    for (std::uint32_t i = 0; i < plan_regs.size(); ++i)
+        order.push_back(Slot{key(plan_regs[i].dst), i, true});
+    std::sort(order.begin(), order.end(),
+              [](const Slot &a, const Slot &b) { return a.key < b.key; });
+
+    ReferenceSegmentation ref;
+    std::vector<bool> is_op_dst(num_slots, false);
+    for (const auto &op : plan_comb)
+        is_op_dst[op.dst] = true;
+    for (const auto &op : plan_regs)
+        is_op_dst[op.dst] = true;
+    ref.slotOf.assign(num_slots, 0);
+    NodeId next_slot = 0;
+    for (NodeId id = 0; id < num_nodes; ++id)
+        if (!is_op_dst[id])
+            ref.slotOf[id] = next_slot++;
+    for (const Slot &slot : order)
+        ref.slotOf[slot.isReg ? plan_regs[slot.index].dst
+                              : plan_comb[slot.index].dst] = next_slot++;
+    ref.slotOf[num_nodes] = num_nodes;
+    ref.slotOf[num_nodes + 1] = num_nodes + 1;
+    const auto &slot_of = ref.slotOf;
+
+    std::vector<std::uint32_t> owner(num_slots, 0xffffffffu);
+    std::vector<bool> is_reg_dst(num_slots, false);
+    for (std::size_t first = 0; first < order.size();
+         first += ops_per_segment) {
+        const std::size_t last =
+            std::min(order.size(), first + ops_per_segment);
+        circuit::Segmentation::Segment seg{};
+        seg.combBegin = static_cast<std::uint32_t>(ref.comb.size());
+        seg.regBegin = static_cast<std::uint32_t>(ref.regs.size());
+        const auto index = static_cast<std::uint32_t>(ref.segments.size());
+        for (std::size_t i = first; i < last; ++i) {
+            if (order[i].isReg) {
+                const auto &op = plan_regs[order[i].index];
+                owner[slot_of[op.dst]] = index;
+                is_reg_dst[slot_of[op.dst]] = true;
+                ref.regs.push_back({slot_of[op.dst], slot_of[op.a],
+                                    slot_of[op.b], op.bInv,
+                                    op.carryInit});
+            } else {
+                const auto &op = plan_comb[order[i].index];
+                owner[slot_of[op.dst]] = index;
+                ref.comb.push_back({slot_of[op.dst], slot_of[op.a],
+                                    slot_of[op.b], op.inv});
+            }
+        }
+        seg.combEnd = static_cast<std::uint32_t>(ref.comb.size());
+        seg.regEnd = static_cast<std::uint32_t>(ref.regs.size());
+        ref.segments.push_back(seg);
+    }
+
+    const std::size_t num_segments = ref.segments.size();
+    std::vector<std::vector<std::uint32_t>> comb_readers(num_segments);
+    std::vector<std::vector<std::uint32_t>> reg_readers(num_segments);
+    for (std::size_t s = 0; s < num_segments; ++s) {
+        const auto &seg = ref.segments[s];
+        const auto addSource = [&](NodeId src) {
+            const std::uint32_t i = owner[src];
+            if (i == 0xffffffffu || i == s)
+                return;
+            (is_reg_dst[src] ? reg_readers[i] : comb_readers[i])
+                .push_back(static_cast<std::uint32_t>(s));
+        };
+        for (std::uint32_t i = seg.combBegin; i < seg.combEnd; ++i) {
+            addSource(ref.comb[i].a);
+            addSource(ref.comb[i].b);
+        }
+        for (std::uint32_t i = seg.regBegin; i < seg.regEnd; ++i) {
+            addSource(ref.regs[i].a);
+            addSource(ref.regs[i].b);
+        }
+    }
+    for (std::size_t s = 0; s < num_segments; ++s) {
+        auto &seg = ref.segments[s];
+        const auto pack = [&](std::vector<std::uint32_t> &readers,
+                              std::uint32_t &begin, std::uint32_t &end) {
+            std::sort(readers.begin(), readers.end());
+            readers.erase(std::unique(readers.begin(), readers.end()),
+                          readers.end());
+            begin = static_cast<std::uint32_t>(ref.consumers.size());
+            ref.consumers.insert(ref.consumers.end(), readers.begin(),
+                                 readers.end());
+            end = static_cast<std::uint32_t>(ref.consumers.size());
+        };
+        pack(comb_readers[s], seg.combConsumersBegin,
+             seg.combConsumersEnd);
+        pack(reg_readers[s], seg.regConsumersBegin, seg.regConsumersEnd);
+    }
+    return ref;
+}
+
+/** Field-by-field equality of a Segmentation and its reference. */
+void
+expectMatchesReference(const circuit::ExecPlan &plan,
+                       std::size_t ops_per_segment, const char *what)
+{
+    SCOPED_TRACE(::testing::Message()
+                 << what << ", ops/seg " << ops_per_segment);
+    const circuit::Segmentation seg(plan, ops_per_segment);
+    const auto ref = referenceSegmentation(plan, ops_per_segment);
+
+    ASSERT_EQ(seg.slotOf(), ref.slotOf);
+    ASSERT_EQ(seg.comb().size(), ref.comb.size());
+    for (std::size_t i = 0; i < ref.comb.size(); ++i) {
+        const auto &got = seg.comb()[i];
+        const auto &want = ref.comb[i];
+        ASSERT_TRUE(got.dst == want.dst && got.a == want.a &&
+                    got.b == want.b && got.inv == want.inv)
+            << "comb op " << i;
+    }
+    ASSERT_EQ(seg.regs().size(), ref.regs.size());
+    for (std::size_t i = 0; i < ref.regs.size(); ++i) {
+        const auto &got = seg.regs()[i];
+        const auto &want = ref.regs[i];
+        ASSERT_TRUE(got.dst == want.dst && got.a == want.a &&
+                    got.b == want.b && got.bInv == want.bInv &&
+                    got.carryInit == want.carryInit)
+            << "reg op " << i;
+    }
+    ASSERT_EQ(seg.segments().size(), ref.segments.size());
+    for (std::size_t i = 0; i < ref.segments.size(); ++i) {
+        const auto &got = seg.segments()[i];
+        const auto &want = ref.segments[i];
+        ASSERT_TRUE(got.combBegin == want.combBegin &&
+                    got.combEnd == want.combEnd &&
+                    got.regBegin == want.regBegin &&
+                    got.regEnd == want.regEnd &&
+                    got.combConsumersBegin == want.combConsumersBegin &&
+                    got.combConsumersEnd == want.combConsumersEnd &&
+                    got.regConsumersBegin == want.regConsumersBegin &&
+                    got.regConsumersEnd == want.regConsumersEnd)
+            << "segment " << i;
+    }
+    ASSERT_EQ(seg.consumers(), ref.consumers);
+    ASSERT_EQ(seg.inputs().size(), plan.inputs().size());
+    for (std::size_t i = 0; i < plan.inputs().size(); ++i) {
+        EXPECT_EQ(seg.inputs()[i].node,
+                  ref.slotOf[plan.inputs()[i].node]);
+        EXPECT_EQ(seg.inputs()[i].port, plan.inputs()[i].port);
+    }
+    ASSERT_EQ(seg.constOnes().size(), plan.constOnes().size());
+    for (std::size_t i = 0; i < plan.constOnes().size(); ++i)
+        EXPECT_EQ(seg.constOnes()[i], ref.slotOf[plan.constOnes()[i]]);
+}
+
+TEST(Segmentation, ScheduleMatchesDepthSortReference)
+{
+    const std::size_t sizes[] = {1, 16, 128, 4096};
+    for (const std::size_t ops : sizes)
+        expectMatchesReference(circuit::ExecPlan(makeKitchenSinkNetlist()),
+                               ops, "kitchen sink");
+
+    Rng rng(95);
+    struct Case
+    {
+        const char *name;
+        core::SignMode sign;
+        bool constantPropagation;
+    };
+    const Case cases[] = {{"Unsigned", core::SignMode::Unsigned, true},
+                          {"PnSplit", core::SignMode::PnSplit, true},
+                          {"Csd", core::SignMode::Csd, true},
+                          {"Csd, AND plane kept", core::SignMode::Csd,
+                           false}};
+    for (const Case &c : cases) {
+        const auto v =
+            c.sign == core::SignMode::Unsigned
+                ? makeElementSparseMatrix(48, 40, 6, 0.6, rng)
+                : makeSignedElementSparseMatrix(48, 40, 6, 0.6, rng);
+        CompileOptions options;
+        options.signMode = c.sign;
+        options.constantPropagation = c.constantPropagation;
+        const auto design = MatrixCompiler(options).compile(v);
+        for (const std::size_t ops : sizes)
+            expectMatchesReference(design.plan(), ops, c.name);
+    }
+
+    // A column-tiled design: every tile carries its own plan.
+    const auto v = makeSignedElementSparseMatrix(40, 36, 7, 0.5, rng);
+    CompileOptions options;
+    options.signMode = core::SignMode::Csd;
+    core::TileOptions tile;
+    tile.maxTileCols = 10;
+    const auto tiled = core::TiledDesign::compile(v, options, tile);
+    ASSERT_GT(tiled.tileCount(), 1u);
+    for (std::size_t t = 0; t < tiled.tileCount(); ++t)
+        for (const std::size_t ops : sizes)
+            expectMatchesReference(tiled.tile(t).plan(), ops, "tiled");
 }
 
 TEST(Segmentation, OpsForBudgetScalesAndFloors)

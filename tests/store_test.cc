@@ -13,6 +13,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <thread>
+#include <vector>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/fault.h"
@@ -381,12 +384,83 @@ TEST(TieredStore, DamagedSpillFileFallsBackToRecompile)
     // The promotion attempt rejects the file and recompiles; the
     // design still serves correctly.
     const auto design = store.get(a, compile);
-    const auto stats = store.stats();
+    auto stats = store.stats();
     EXPECT_EQ(stats.promotions, 0u);
     EXPECT_EQ(stats.coldFallbacks, 1u);
     Rng rng(383);
     const auto x = makeSignedVector(16, 8, rng);
     EXPECT_EQ(design->multiply(x), referenceMultiply(a, x));
+
+    // The damaged file is gone, so a's next demotion writes a fresh,
+    // loadable one instead of keeping the bad bytes forever.
+    EXPECT_FALSE(fs::exists(path));
+    const auto writes = store.coldStats().writes;
+    store.get(b, compile); // demotes a again
+    EXPECT_EQ(store.coldStats().writes, writes + 1);
+    stats = store.stats();
+    EXPECT_EQ(stats.demotions, 3u); // a, b, then a's fresh file
+    std::shared_ptr<const core::TiledDesign> reloaded;
+    ASSERT_EQ(store::loadDesignFile(path, &reloaded),
+              store::LoadStatus::Ok);
+    EXPECT_EQ(reloaded->multiply(x), referenceMultiply(a, x));
+}
+
+/** The whole contents of a file. */
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+/** A file's inode number; a rename over the path changes it. */
+ino_t
+inodeOf(const std::string &path)
+{
+    struct stat st{};
+    EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+    return st.st_ino;
+}
+
+TEST(TieredStore, RedemotionKeepsTheWriteOnceSpillFile)
+{
+    TempDir dir("tier-once");
+    serve::StoreOptions options;
+    options.capacity = 1;
+    options.spillDir = dir.path.string();
+    serve::DesignStore store(options);
+    const auto compile = testCompileOptions();
+    const auto a = testWeights(16, 395);
+    const auto b = testWeights(16, 396);
+    const store::ColdTier tier(dir.path.string());
+    const auto path =
+        tier.pathFor(experiments::makeDesignKey(a, compile));
+
+    store.get(a, compile);
+    store.get(b, compile); // a's first spill
+    ASSERT_EQ(store.coldStats().writes, 1u);
+    const std::string first = fileBytes(path);
+    ASSERT_GT(first.size(), store::kHeaderBytes);
+    const ino_t inode = inodeOf(path);
+
+    // Cycle a through promote -> evict twice.  b spills once, on its
+    // own first eviction; a's file is never written again.
+    for (int cycle = 0; cycle < 2; ++cycle) {
+        store.get(a, compile); // promotes a
+        EXPECT_EQ(store.coldStats().writes, 2u) << "cycle " << cycle;
+        store.get(b, compile); // evicts a: its file already exists
+        EXPECT_EQ(store.coldStats().writes, 2u) << "cycle " << cycle;
+        EXPECT_EQ(fileBytes(path), first) << "cycle " << cycle;
+        EXPECT_EQ(inodeOf(path), inode) << "cycle " << cycle;
+    }
+
+    const auto stats = store.stats();
+    EXPECT_EQ(stats.evictions, 5u);
+    EXPECT_EQ(stats.demotions, 2u); // real writes only
+    EXPECT_EQ(stats.promotions, 4u);
+    EXPECT_EQ(stats.coldFallbacks, 0u);
+    EXPECT_EQ(store.coldStats().loads, 4u);
 }
 
 TEST(TieredStore, NoSpillDirEvictsOutright)
@@ -536,6 +610,43 @@ TEST(TieredStore, InjectedColdCorruptionFallsBackToRecompile)
     Rng rng(453);
     const auto x = makeSignedVector(16, 8, rng);
     EXPECT_EQ(design->multiply(x), referenceMultiply(a, x));
+}
+
+TEST(TieredStore, ConcurrentChurnWithBadLoadsStaysBitExact)
+{
+    // Four threads churn four designs through a capacity-1 store while
+    // a third of the loads come back corrupt: write-once puts, loads
+    // and the erase of each rejected file all race across threads.
+    TempDir dir("tier-race");
+    serve::StoreOptions options;
+    options.capacity = 1;
+    options.spillDir = dir.path.string();
+    serve::DesignStore store(options);
+    const auto compile = testCompileOptions();
+    std::vector<IntMatrix> weights;
+    for (std::uint64_t seed = 0; seed < 4; ++seed)
+        weights.push_back(testWeights(12, 455 + seed));
+    const FaultGuard faults(
+        {{fault::Site::ColdReadCorrupt, fault::Rule{0.3, 459, 0}}});
+
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t)
+        threads.emplace_back([&, t] {
+            Rng rng(460 + static_cast<std::uint64_t>(t));
+            for (int i = 0; i < 16; ++i) {
+                const auto &w = weights[(t + i) % weights.size()];
+                const auto x = makeSignedVector(12, 8, rng);
+                EXPECT_EQ(store.get(w, compile)->multiply(x),
+                          referenceMultiply(w, x));
+            }
+        });
+    for (auto &thread : threads)
+        thread.join();
+
+    const auto stats = store.stats();
+    EXPECT_EQ(stats.cache.hits + stats.cache.misses, 64u);
+    EXPECT_LE(stats.demotions, stats.evictions);
+    EXPECT_EQ(store.coldStats().writes, stats.demotions);
 }
 
 TEST(TieredStore, InjectedCompileFaultsRetryTransparently)
