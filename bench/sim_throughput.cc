@@ -12,7 +12,7 @@
  *
  * The kernel-comparison mode additionally times the tape engine once
  * per SIMD dispatch target supported by the running CPU (scalar, avx2,
- * avx512, neon), each verified bit-exact before timing, and reports
+ * neon), each verified bit-exact before timing, and reports
  * per-kernel GEMV/s; --check_kernel_speedup gates the avx2-vs-scalar
  * ratio for CI smoke runs (skipped on machines without AVX2).
  *
@@ -22,29 +22,18 @@
  * bit-exact against the interpreter baseline AND toggle-exact against
  * WideSimulator before timing.  --check_gated_speedup gates the ratio.
  *
- * The jit section (on by default, skipped without a C toolchain,
- * --jit=0 disables) measures the per-design codegen backend against
- * the gated interpreted tape at the identical resolved configuration —
- * only SimOptions::jit differs — with the module proved bit-exact AND
- * toggle-exact against WideSimulator in-bench before any timing, and
- * the run required to have actually executed through the module (no
- * silent interpreter fallback).  --check_jit_speedup gates the
- * median-of-rounds ratio.
- *
  * --check_baseline compares the run against a committed baseline JSON
  * (bench/sim_throughput_baseline.json): the default-path tape_ms may
  * not regress past the baseline's limit, every kernel listed in the
- * baseline floors must keep its speedup-vs-scalar, and the gated and
- * jit speedups must hold their floors.  This is the perf-regression
- * CI gate.
+ * baseline floors must keep its speedup-vs-scalar, and the gated
+ * speedup must hold its floor.  This is the perf-regression CI gate.
  *
  *   sim_throughput [--dim=256] [--batch=1024] [--bits=8]
  *                  [--sparsity=0.9] [--threads=0] [--lane-words=0]
- *                  [--activity_gating=1] [--segment_kib=4] [--jit=1]
+ *                  [--activity_gating=1] [--segment_kib=4]
  *                  [--repeats=3] [--json[=path]]
  *                  [--check_kernel_speedup=1.5]
  *                  [--check_gated_speedup=1.3]
- *                  [--check_jit_speedup=0.8]
  *                  [--check_baseline[=path]]
  *
  * --json writes a BENCH_sim_throughput.json artifact for the perf
@@ -61,7 +50,6 @@
 #include <vector>
 
 #include "circuit/block_simulator.h"
-#include "circuit/jit.h"
 #include "circuit/kernels.h"
 #include "circuit/wide_simulator.h"
 #include "common/args.h"
@@ -102,40 +90,21 @@ bestOf(int repeats, F &&run)
  * streams; sets `exact` when every node agrees on every cycle and the
  * register toggle totals match, and `skipped` when the drain tail
  * actually exercised the skip path.  This is the bench's in-situ proof
- * that activity gating — and, when a module is passed, the generated
- * native code at the *production* lane width — is exact for the
- * compiled design under test, not only for the unit-test netlists.
+ * that activity gating is exact for the compiled design under test,
+ * not only for the unit-test netlists.
  */
 template <unsigned W>
 void
-gatedTogglesMatchWideSimulatorAt(
-    const core::CompiledMatrix &design, const core::SimOptions &options,
-    bool &exact, bool &skipped,
-    std::shared_ptr<const circuit::jit::JitModule> jit)
+gatedTogglesMatchWideSimulator(const core::CompiledMatrix &design,
+                               const core::SimOptions &options,
+                               bool &exact, bool &skipped)
 {
     const auto &plan = design.plan();
     const auto segmentation =
         plan.segmentation(circuit::Segmentation::opsForBudget(
             options.segmentKib, W));
-    const bool want_jit = jit != nullptr;
-    // A module built against the engine's sampled-node list may keep
-    // single-segment comb values in vector registers; those slots are
-    // stale in the value array by design, so the per-node sweep below
-    // must skip them (outputs are always materialized, and the toggle
-    // totals cover the registers bit for bit).
-    const std::vector<std::uint8_t> materialized =
-        jit != nullptr ? jit->materializedSlots()
-                       : std::vector<std::uint8_t>{};
-    const auto &slot_of = segmentation->slotOf();
     circuit::BlockSimulator<W, true> gated(
-        plan, &core::resolvedKernel(options), segmentation,
-        std::move(jit));
-    if (want_jit && !gated.jitActive()) {
-        // The proof must exercise the module, not silently fall back.
-        exact = false;
-        skipped = false;
-        return;
-    }
+        plan, &core::resolvedKernel(options), segmentation);
     std::vector<circuit::WideSimulator> wides(
         W, circuit::WideSimulator(design.netlist()));
 
@@ -157,9 +126,6 @@ gatedTogglesMatchWideSimulatorAt(
             wides[w].step(words);
             for (circuit::NodeId id = 0;
                  id < design.netlist().numNodes(); ++id) {
-                if (!materialized.empty() &&
-                    materialized[slot_of[id]] == 0)
-                    continue;
                 if (gated.outputWord(id, w) != wides[w].outputWord(id)) {
                     exact = false;
                     skipped = gated.segmentsSkipped() > 0;
@@ -174,38 +140,6 @@ gatedTogglesMatchWideSimulatorAt(
         wide_toggles += wide.toggleCount();
     exact = gated.toggleCount() == wide_toggles;
     skipped = gated.segmentsSkipped() > 0;
-}
-
-/** Lane-width dispatcher for the proof above (W = 1 without a module,
- *  the module's production width with one). */
-void
-gatedTogglesMatchWideSimulator(
-    const core::CompiledMatrix &design, const core::SimOptions &options,
-    bool &exact, bool &skipped,
-    std::shared_ptr<const circuit::jit::JitModule> jit = nullptr,
-    unsigned lane_words = 1)
-{
-    switch (lane_words) {
-    case 1:
-        gatedTogglesMatchWideSimulatorAt<1>(design, options, exact,
-                                            skipped, std::move(jit));
-        return;
-    case 2:
-        gatedTogglesMatchWideSimulatorAt<2>(design, options, exact,
-                                            skipped, std::move(jit));
-        return;
-    case 4:
-        gatedTogglesMatchWideSimulatorAt<4>(design, options, exact,
-                                            skipped, std::move(jit));
-        return;
-    case 8:
-        gatedTogglesMatchWideSimulatorAt<8>(design, options, exact,
-                                            skipped, std::move(jit));
-        return;
-    default:
-        exact = false;
-        skipped = false;
-    }
 }
 
 } // namespace
@@ -293,8 +227,7 @@ main(int argc, char **argv)
     const char *active = core::resolvedKernel(sim_options).name;
     // An inherited SPATIAL_KERNEL silently pins every dispatch in this
     // process; record it so a pinned artifact can never masquerade as
-    // the machine's true auto-dispatch (which once shipped an "avx512"
-    // engine row from a CPU whose preferred kernel is avx2).
+    // the machine's true auto-dispatch.
     const char *kernel_env = std::getenv("SPATIAL_KERNEL");
     const bool kernel_pinned = kernel_env != nullptr && *kernel_env != '\0';
     if (kernel_pinned)
@@ -326,8 +259,8 @@ main(int argc, char **argv)
 
     bool toggles_exact = false;
     bool drain_skipped = false;
-    gatedTogglesMatchWideSimulator(design, gated_options, toggles_exact,
-                                   drain_skipped);
+    gatedTogglesMatchWideSimulator<1>(design, gated_options,
+                                      toggles_exact, drain_skipped);
     if (!drain_skipped)
         std::printf("note: this workload's drain never skipped a "
                     "segment; the gating comparison measures pure "
@@ -401,121 +334,14 @@ main(int argc, char **argv)
                 64 * gated_options.laneWords, threads, gated_s * 1e3,
                 ungated_s * 1e3, gated_speedup, skip_fraction * 100.0);
 
-    // ------------------------------------------------------------------
-    // JIT: the admission-compiled native module vs the gated
-    // interpreted tape at the identical resolved configuration — only
-    // SimOptions::jit differs — proved bit-exact and toggle-exact
-    // through the module before timing, with silent fallback treated
-    // as an error (a run that quietly interpreted would "measure" a
-    // 1.0x JIT).  Same back-to-back block rounds and median-round
-    // reporting as the gating ablation above.
-    // ------------------------------------------------------------------
-    const bool jit_requested = args.getBool("jit", true);
-    const bool jit_available =
-        jit_requested && circuit::jit::toolchainAvailable();
-    double jit_s = 0.0;
-    double jit_interp_s = 0.0;
-    double jit_speedup = 0.0;
-    double jit_admit_s = 0.0;
-    std::uint64_t jit_groups = 0;
-    std::size_t jit_source_bytes = 0;
-    if (!jit_requested)
-        std::printf("jit section disabled (--jit=0)\n");
-    else if (!jit_available)
-        std::printf("jit section skipped: no C toolchain reachable\n");
-    if (jit_available) {
-        core::SimOptions jit_options = gated_options;
-        jit_options.jit = true;
-
-        const auto admit_start = Clock::now();
-        const auto module =
-            design.ensureJit(jit_options, jit_options.laneWords);
-        jit_admit_s = secondsSince(admit_start);
-        if (module == nullptr) {
-            std::printf("ERROR: JIT admission failed with a live "
-                        "toolchain\n");
-            return 1;
-        }
-        jit_source_bytes = module->sourceBytes();
-
-        bool jit_toggles_exact = false;
-        bool jit_drain_skipped = false;
-        gatedTogglesMatchWideSimulator(design, jit_options,
-                                       jit_toggles_exact,
-                                       jit_drain_skipped, module,
-                                       jit_options.laneWords);
-        core::BatchStats jit_stats;
-        const auto jit_out =
-            core::runBatchWide(design, batch, jit_options, &jit_stats);
-        const bool jit_exact = jit_out == legacy_out;
-        jit_groups = jit_stats.jitGroups;
-        if (!jit_exact || !jit_toggles_exact) {
-            std::printf("ERROR: JIT execution is not exact (outputs %s, "
-                        "toggles %s); refusing to report timings\n",
-                        jit_exact ? "ok" : "MISMATCH",
-                        jit_toggles_exact ? "ok" : "MISMATCH");
-            return 1;
-        }
-        if (jit_stats.jitGroups == 0 ||
-            jit_stats.interpFallbackGroups != 0) {
-            std::printf("ERROR: JIT run fell back to the interpreter "
-                        "(%llu jit groups, %llu fallback); refusing to "
-                        "report timings\n",
-                        static_cast<unsigned long long>(
-                            jit_stats.jitGroups),
-                        static_cast<unsigned long long>(
-                            jit_stats.interpFallbackGroups));
-            return 1;
-        }
-
-        struct JitRound
-        {
-            double jitted;
-            double interp;
-        };
-        std::vector<JitRound> jit_rounds;
-        for (int round = 0; round < rounds; ++round) {
-            JitRound r{1e300, 1e300};
-            for (int i = 0; i < per_round; ++i) {
-                const auto start = Clock::now();
-                (void)design.multiplyBatchWide(batch, jit_options);
-                r.jitted = std::min(r.jitted, secondsSince(start));
-            }
-            for (int i = 0; i < per_round; ++i) {
-                const auto start = Clock::now();
-                (void)design.multiplyBatchWide(batch, gated_options);
-                r.interp = std::min(r.interp, secondsSince(start));
-            }
-            jit_rounds.push_back(r);
-        }
-        std::sort(jit_rounds.begin(), jit_rounds.end(),
-                  [](const JitRound &a, const JitRound &b) {
-                      return a.interp / a.jitted < b.interp / b.jitted;
-                  });
-        const JitRound &jit_median = jit_rounds[jit_rounds.size() / 2];
-        jit_s = jit_median.jitted;
-        jit_interp_s = jit_median.interp;
-        jit_speedup = jit_interp_s / jit_s;
-        std::printf("jit (kernel %s, %u lanes, %u thr): jit %8.1f ms, "
-                    "interp %8.1f ms -> %.2fx (admitted in %.2fs, %zu "
-                    "source bytes; outputs and toggles exact)\n",
-                    core::resolvedKernel(jit_options).name,
-                    64 * jit_options.laneWords, threads, jit_s * 1e3,
-                    jit_interp_s * 1e3, jit_speedup, jit_admit_s,
-                    jit_source_bytes);
-    }
-
     // Per-kernel comparison: every dispatch target supported by this
     // CPU, each verified bit-exact against the interpreter baseline
     // before timing.  Each timing round visits the kernels in
-    // ascending vector width (scalar, neon, avx2, avx512 — so AVX-512's
-    // lingering license-based downclock decays over its own successors
-    // rather than a narrow kernel's window), and the rounds repeat with
-    // every kernel's samples spread across the whole section: the
-    // vs-scalar ratios are CI-gated, and on shared runners a sustained
-    // load window that lands on one kernel's only block flips the gate
-    // even when best-of discards transient spikes.  Best-of per kernel
-    // also discards any sample that does catch the downclock.
+    // ascending vector width (scalar, neon, avx2), and the rounds
+    // repeat with every kernel's samples spread across the whole
+    // section: the vs-scalar ratios are CI-gated, and on shared runners
+    // a sustained load window that lands on one kernel's only block
+    // flips the gate even when best-of discards transient spikes.
     // Single-threaded unless --threads is given, so the ratio measures
     // kernel code rather than how the group scheduler shares the box.
     // The ungated engine-default row (PR 4's configuration) is what
@@ -637,19 +463,6 @@ main(int argc, char **argv)
              << ", \"segments_skipped\": " << gate_stats.segmentsSkipped
              << ", \"skip_fraction\": " << skip_fraction
              << ", \"bit_exact\": true, \"toggles_exact\": true},\n";
-        if (jit_available) {
-            json << "  \"jit\": {\"available\": true, \"jit_ms\": "
-                 << jit_s * 1e3 << ", \"interp_ms\": "
-                 << jit_interp_s * 1e3
-                 << ", \"jit_speedup\": " << jit_speedup
-                 << ", \"admit_s\": " << jit_admit_s
-                 << ", \"lane_words\": " << gated_options.laneWords
-                 << ", \"jit_groups\": " << jit_groups
-                 << ", \"source_bytes\": " << jit_source_bytes
-                 << ", \"bit_exact\": true, \"toggles_exact\": true},\n";
-        } else {
-            json << "  \"jit\": {\"available\": false},\n";
-        }
         json << "  \"kernels\": [";
         for (std::size_t i = 0; i < rows.size(); ++i) {
             json << (i == 0 ? "\n" : ",\n");
@@ -713,29 +526,6 @@ main(int argc, char **argv)
         }
     }
 
-    // CI gate on the jit-vs-gated-interpreter ablation; skipped (not
-    // failed) without a toolchain, where the fallback contract is what
-    // the test suite verifies instead.
-    if (args.has("check_jit_speedup")) {
-        if (!jit_available) {
-            // Skip before parsing the floor so the bare-flag form
-            // (`--check_jit_speedup`) works on toolchain-less hosts.
-            std::printf("jit speedup gate skipped: %s\n",
-                        jit_requested ? "no C toolchain reachable"
-                                      : "--jit=0");
-        } else if (const double floor =
-                       args.getReal("check_jit_speedup", 0.8);
-                   jit_speedup < floor) {
-            std::printf("ERROR: jit speedup %.2fx is below the %.2fx "
-                        "gate\n",
-                        jit_speedup, floor);
-            ++failures;
-        } else {
-            std::printf("jit speedup gate passed: %.2fx >= %.2fx\n",
-                        jit_speedup, floor);
-        }
-    }
-
     // Perf-regression gate against the committed baseline artifact.
     if (args.has("check_baseline")) {
         std::string path = args.getString("check_baseline", "");
@@ -778,22 +568,6 @@ main(int argc, char **argv)
             std::printf("baseline gated-speedup gate passed: %.2fx >= "
                         "%.2fx\n",
                         gated_speedup, gated_floor);
-        }
-        if (const auto *jit_floor = parsed->find("jit_speedup_floor")) {
-            if (!jit_available) {
-                std::printf("baseline jit-speedup gate skipped: %s\n",
-                            jit_requested ? "no C toolchain reachable"
-                                          : "--jit=0");
-            } else if (jit_speedup < jit_floor->number()) {
-                std::printf("ERROR: jit speedup %.2fx below baseline "
-                            "floor %.2fx\n",
-                            jit_speedup, jit_floor->number());
-                ++failures;
-            } else {
-                std::printf("baseline jit-speedup gate passed: %.2fx >= "
-                            "%.2fx\n",
-                            jit_speedup, jit_floor->number());
-            }
         }
         const auto &floors = parsed->at("kernel_floors");
         for (const auto &row : rows) {

@@ -58,9 +58,6 @@ usage()
         "  --lane-words=W       batch-engine lane words (0 = auto)\n"
         "  --activity-gating=B  segmented activity gating (default 1)\n"
         "  --segment-kib=K      gated segment working-set target\n"
-        "  --jit=B              per-design JIT modules (default 0;\n"
-        "                       interpreted-tape fallback without a\n"
-        "                       C toolchain)\n"
         "  --seed=N             workload-stream seed override (0 =\n"
         "                       each experiment's built-in stream)\n"
         "  --check_load_speedup=R  exit 1 unless every row with\n"
@@ -157,7 +154,7 @@ runRun(const Args &args)
     const std::set<std::string> reserved = {
         "all",  "json",          "csv",         "threads",
         "sim-threads", "lane-words", "activity-gating", "segment-kib",
-        "jit",  "seed", "quiet", "check_load_speedup",
+        "seed", "quiet", "check_load_speedup",
         "check_load_dim"};
 
     // Which experiments.
@@ -219,7 +216,6 @@ runRun(const Args &args)
     options.sim.activityGating = args.getBool("activity-gating", true);
     options.sim.segmentKib = static_cast<unsigned>(
         args.getInt("segment-kib", options.sim.segmentKib));
-    options.sim.jit = args.getBool("jit", false);
     options.seed = static_cast<std::uint64_t>(args.getInt("seed", 0));
 
     const bool quiet = args.getBool("quiet", false);

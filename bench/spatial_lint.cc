@@ -10,9 +10,9 @@
  *       Sweep every distinct (dim, sparsity) the experiment registry's
  *       grids name (capped at --max_dim, default 256), compile each
  *       under every sign mode, and verify every layer — netlist, plan,
- *       segmentation, tile partition, and generated JIT source.  One
- *       forced-tiling case rides along so the tile layer is exercised
- *       even when every registry design fits a single tile.
+ *       segmentation, and tile partition.  One forced-tiling case
+ *       rides along so the tile layer is exercised even when every
+ *       registry design fits a single tile.
  *
  *   spatial-lint --design DIM,SPARSITY[,SIGN] [--json]
  *       Compile and verify one design (SIGN: unsigned/pn/csd).

@@ -14,7 +14,6 @@
  *   spatial-serve --designs=4 --batch_frac=0.2 --esn_frac=0.1
  *   spatial-serve --mode=drain --compare --check_speedup=3 --json
  *   spatial-serve --activity_gating=0 --segment_kib=8
- *   spatial-serve --jit=1         # JIT admission at registration
  *   spatial-serve --spill_dir=/tmp/spill --store_capacity=2
  *   spatial-serve --dim=4096 --tile_budget=262144  # column tiling
  *
@@ -199,10 +198,6 @@ main(int argc, char **argv)
         args.getBool("activity_gating", true);
     options.serve.sim.segmentKib = static_cast<unsigned>(
         args.getInt("segment_kib", options.serve.sim.segmentKib));
-    // JIT admission at registration; designs fall back to the
-    // interpreted tape when no toolchain is reachable (visible in the
-    // jit_admitted/jit_failed and jit_groups counters below).
-    options.serve.sim.jit = args.getBool("jit", false);
     // Queue-age watchdog: sheds batched work older than the bound and
     // flags workers stuck past the slow-worker threshold.
     options.serve.maxQueueAge = std::chrono::milliseconds(
@@ -314,16 +309,6 @@ main(int argc, char **argv)
                         result.stats.store.coldFallbacks,
                         result.stats.store.compileSeconds,
                         result.stats.store.loadSeconds);
-        if (options.serve.sim.jit)
-            std::printf(
-                "jit: %zu designs admitted (%zu failed) in %.2fs; "
-                "%llu groups jitted, %llu fell back\n",
-                result.stats.store.jitAdmitted,
-                result.stats.store.jitFailed,
-                result.stats.store.jitCompileSeconds,
-                static_cast<unsigned long long>(result.stats.jitGroups),
-                static_cast<unsigned long long>(
-                    result.stats.jitFallbackGroups));
     }
     if (options.compareNaive) {
         std::printf("naive path: %.0f req/s (%.3fs); batched speedup "

@@ -1,7 +1,6 @@
 #include "analysis/verifier.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 
 #include "core/compiler.h"
@@ -25,18 +24,6 @@ std::string
 nodeStr(std::uint64_t id)
 {
     return std::to_string(id);
-}
-
-/** Mirror of jit.cc's lane-word filtering (range + dedup). */
-std::vector<unsigned>
-filterLaneWords(const std::vector<unsigned> &requested)
-{
-    std::vector<unsigned> ws;
-    for (const unsigned w : requested)
-        if (w >= 1 && w <= 16 &&
-            std::find(ws.begin(), ws.end(), w) == ws.end())
-            ws.push_back(w);
-    return ws;
 }
 
 } // namespace
@@ -65,8 +52,6 @@ layerName(Layer layer)
         return "segmentation";
       case Layer::Tile:
         return "tile";
-      case Layer::Jit:
-        return "jit";
       case Layer::File:
         return "file";
     }
@@ -205,26 +190,6 @@ TileView::of(const core::TiledDesign &design)
         v.tileShapes.emplace_back(design.tile(i).rows(),
                                   design.tile(i).cols());
     return v;
-}
-
-JitExpectation
-JitExpectation::of(const ExecPlan &plan, const circuit::jit::JitSpec &spec)
-{
-    JitExpectation e;
-    e.numSlots = plan.numSlots();
-    e.onesSlot = plan.onesSlot();
-    e.zeroSlot = plan.zeroSlot();
-    e.laneWords = filterLaneWords(spec.laneWords);
-    if (spec.segmentation != nullptr) {
-        e.gated = true;
-        e.numSegments = spec.segmentation->segments().size();
-        e.comb = spec.segmentation->comb();
-        e.regs = spec.segmentation->regs();
-    } else {
-        e.comb = plan.comb();
-        e.regs = plan.regs();
-    }
-    return e;
 }
 
 // ---------------------------------------------------------------------
@@ -816,309 +781,6 @@ Verifier::checkTiles(const TileView &tiles, Report *report) const
 }
 
 // ---------------------------------------------------------------------
-// JIT source audit
-// ---------------------------------------------------------------------
-
-namespace
-{
-
-/** One parsed dense statement: its macro name and integer args. */
-struct JitStmt
-{
-    std::string name;
-    std::vector<long long> args;
-};
-
-/**
- * Scan `text` for line-anchored dense-macro statements, splitting
- * them into the settle stream (SN/SA) and the counting/plain commit
- * streams (DFT/RAT vs DF/RA).  Malformed argument lists abort the
- * statement (the caller sees a count mismatch).
- */
-void
-collectStmts(const std::string &text, std::vector<JitStmt> *settle,
-             std::vector<JitStmt> *commitCounting,
-             std::vector<JitStmt> *commitPlain)
-{
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        std::size_t eol = text.find('\n', pos);
-        if (eol == std::string::npos)
-            eol = text.size();
-        const std::string_view line(text.data() + pos, eol - pos);
-        pos = eol + 1;
-        std::string name;
-        for (const char c : line) {
-            if (c >= 'A' && c <= 'Z')
-                name += c;
-            else
-                break;
-        }
-        std::vector<JitStmt> *stream = nullptr;
-        if (name == "SN" || name == "SA")
-            stream = settle;
-        else if (name == "DFT" || name == "RAT")
-            stream = commitCounting;
-        else if (name == "DF" || name == "RA")
-            stream = commitPlain;
-        if (stream == nullptr || name.size() >= line.size() ||
-            line[name.size()] != '(')
-            continue;
-        JitStmt stmt{name, {}};
-        std::size_t i = name.size() + 1;
-        bool ok = true;
-        while (i < line.size() && line[i] != ')') {
-            bool neg = false;
-            if (line[i] == '-') {
-                neg = true;
-                ++i;
-            }
-            if (i >= line.size() || line[i] < '0' || line[i] > '9') {
-                ok = false;
-                break;
-            }
-            long long v = 0;
-            while (i < line.size() && line[i] >= '0' && line[i] <= '9')
-                v = v * 10 + (line[i++] - '0');
-            stmt.args.push_back(neg ? -v : v);
-            if (i < line.size() && line[i] == ',')
-                ++i;
-        }
-        if (ok && i < line.size() && line[i] == ')')
-            stream->push_back(std::move(stmt));
-    }
-}
-
-} // namespace
-
-void
-Verifier::checkJitSource(const JitExpectation &expect,
-                         const std::string &source,
-                         Report *report) const
-{
-    const auto bad = [&](std::string rule, std::string msg,
-                         std::uint64_t index = kNoIndex) {
-        report->add(Severity::Error, Layer::Jit, std::move(rule),
-                    std::move(msg), index);
-    };
-
-    // Slice the per-W sections out by their markers.
-    struct Section
-    {
-        unsigned w = 0;
-        std::size_t begin = 0;
-        std::size_t end = 0;
-    };
-    std::vector<Section> sections;
-    static const std::string kMarker = "/* ---- lane words ";
-    for (std::size_t pos = source.find(kMarker);
-         pos != std::string::npos;
-         pos = source.find(kMarker, pos + 1)) {
-        Section s;
-        std::size_t i = pos + kMarker.size();
-        while (i < source.size() && source[i] >= '0' && source[i] <= '9')
-            s.w = s.w * 10 + static_cast<unsigned>(source[i++] - '0');
-        s.begin = pos;
-        if (!sections.empty())
-            sections.back().end = pos;
-        sections.push_back(s);
-    }
-    const std::size_t tablesAt =
-        source.find("static const spatial_jit_table spatial_tables[]");
-    if (!sections.empty())
-        sections.back().end = tablesAt == std::string::npos
-                                  ? source.size()
-                                  : tablesAt;
-
-    if (sections.size() != expect.laneWords.size()) {
-        bad("JIT-SECTION",
-            "expected " + std::to_string(expect.laneWords.size()) +
-                " lane-word sections, found " +
-                std::to_string(sections.size()));
-        return;
-    }
-    for (std::size_t i = 0; i < sections.size(); ++i)
-        if (sections[i].w != expect.laneWords[i])
-            bad("JIT-SECTION",
-                "section order/lane-words mismatch at section " +
-                    std::to_string(i),
-                i);
-
-    // Audit each section's dense statement streams against the tapes.
-    for (const Section &sec : sections) {
-        const unsigned long long stride = 8ull * sec.w;
-        const std::string text =
-            source.substr(sec.begin, sec.end - sec.begin);
-        std::vector<JitStmt> settle, counting, plain;
-        collectStmts(text, &settle, &counting, &plain);
-
-        if (settle.size() != expect.comb.size()) {
-            bad("JIT-STMT-COUNT",
-                "W=" + std::to_string(sec.w) + " settle emits " +
-                    std::to_string(settle.size()) + " statements for " +
-                    std::to_string(expect.comb.size()) + " comb ops",
-                sec.w);
-        } else {
-            for (std::size_t i = 0; i < settle.size(); ++i) {
-                const auto &op = expect.comb[i];
-                const auto &st = settle[i];
-                const bool isNot = op.b == expect.onesSlot &&
-                                   op.inv == ~std::uint64_t{0};
-                bool ok;
-                if (isNot)
-                    ok = st.name == "SN" && st.args.size() == 2 &&
-                         st.args[0] ==
-                             static_cast<long long>(op.dst * stride) &&
-                         st.args[1] ==
-                             static_cast<long long>(op.a * stride);
-                else
-                    ok = st.name == "SA" && st.args.size() == 4 &&
-                         st.args[0] ==
-                             static_cast<long long>(op.dst * stride) &&
-                         st.args[1] ==
-                             static_cast<long long>(op.a * stride) &&
-                         st.args[2] ==
-                             static_cast<long long>(op.b * stride) &&
-                         st.args[3] == (op.inv == 0 ? 0 : -1);
-                if (!ok) {
-                    bad("JIT-STMT-FORM",
-                        "W=" + std::to_string(sec.w) +
-                            " settle statement does not encode comb op " +
-                            std::to_string(i),
-                        i);
-                    break;
-                }
-            }
-        }
-
-        // Commit streams: tape order ungated, reversed when gated
-        // (the dense reverse fallback); carry offsets stay the op's
-        // tape position either way.
-        const auto checkCommit = [&](const std::vector<JitStmt> &stmts,
-                                     bool countingStream) {
-            const char *flavor =
-                countingStream ? " counting commit" : " commit";
-            if (stmts.size() != expect.regs.size()) {
-                bad("JIT-STMT-COUNT",
-                    "W=" + std::to_string(sec.w) + flavor + " emits " +
-                        std::to_string(stmts.size()) +
-                        " statements for " +
-                        std::to_string(expect.regs.size()) + " reg ops",
-                    sec.w);
-                return;
-            }
-            for (std::size_t i = 0; i < stmts.size(); ++i) {
-                const std::size_t k =
-                    expect.gated ? expect.regs.size() - 1 - i : i;
-                const auto &op = expect.regs[k];
-                const auto &st = stmts[i];
-                const bool isDff = op.b == expect.zeroSlot &&
-                                   op.bInv == 0 && op.carryInit == 0;
-                const std::string want =
-                    std::string(isDff ? "DF" : "RA") +
-                    (countingStream ? "T" : "");
-                bool ok = st.name == want;
-                if (ok && isDff)
-                    ok = st.args.size() == 2 &&
-                         st.args[0] ==
-                             static_cast<long long>(op.dst * stride) &&
-                         st.args[1] ==
-                             static_cast<long long>(op.a * stride);
-                else if (ok)
-                    ok = st.args.size() == 5 &&
-                         st.args[0] ==
-                             static_cast<long long>(op.dst * stride) &&
-                         st.args[1] ==
-                             static_cast<long long>(op.a * stride) &&
-                         st.args[2] ==
-                             static_cast<long long>(op.b * stride) &&
-                         st.args[3] ==
-                             static_cast<long long>(k * stride) &&
-                         st.args[4] == (op.bInv == 0 ? 0 : -1);
-                if (!ok) {
-                    bad("JIT-STMT-FORM",
-                        "W=" + std::to_string(sec.w) + flavor +
-                            " statement does not encode reg op " +
-                            std::to_string(k),
-                        i);
-                    return;
-                }
-            }
-        };
-        checkCommit(counting, true);
-        checkCommit(plain, false);
-    }
-
-    // Descriptor: version literal, table count, per-row fields.
-    static const std::string kDesc =
-        "const spatial_jit_desc spatial_jit_desc_v3 = { ";
-    const std::size_t descAt = source.find(kDesc);
-    if (descAt == std::string::npos) {
-        bad("JIT-DESC-VERSION", "spatial_jit_desc_v3 descriptor missing");
-        return;
-    }
-    {
-        std::size_t i = descAt + kDesc.size();
-        unsigned long long version = 0;
-        while (i < source.size() && source[i] >= '0' && source[i] <= '9')
-            version = version * 10 + (source[i++] - '0');
-        if (version != 3)
-            bad("JIT-DESC-VERSION",
-                "descriptor version " + std::to_string(version) +
-                    " != 3");
-        while (i < source.size() &&
-               (source[i] == ',' || source[i] == ' '))
-            ++i;
-        unsigned long long numTables = 0;
-        while (i < source.size() && source[i] >= '0' && source[i] <= '9')
-            numTables = numTables * 10 + (source[i++] - '0');
-        if (numTables != expect.laneWords.size())
-            bad("JIT-TABLE-COUNT",
-                "descriptor num_tables " + std::to_string(numTables) +
-                    " != " + std::to_string(expect.laneWords.size()));
-    }
-    if (tablesAt == std::string::npos) {
-        bad("JIT-TABLE-COUNT", "spatial_tables array missing");
-        return;
-    }
-    std::size_t rows = 0;
-    std::size_t pos = tablesAt;
-    while ((pos = source.find("\n{ ", pos)) != std::string::npos &&
-           pos < descAt) {
-        pos += 3;
-        unsigned long long w = 0;
-        while (pos < source.size() && source[pos] >= '0' &&
-               source[pos] <= '9')
-            w = w * 10 + (source[pos++] - '0');
-        pos += 2; // ", "
-        unsigned long long numSegments = 0;
-        while (pos < source.size() && source[pos] >= '0' &&
-               source[pos] <= '9')
-            numSegments = numSegments * 10 + (source[pos++] - '0');
-        std::size_t eol = source.find('\n', pos);
-        if (eol == std::string::npos)
-            eol = source.size();
-        const std::string_view row(source.data() + pos, eol - pos);
-        const bool hasSegStep =
-            row.find("seg_step") != std::string_view::npos;
-        if (rows >= expect.laneWords.size() ||
-            w != expect.laneWords[rows] ||
-            numSegments != expect.numSegments ||
-            hasSegStep != expect.gated)
-            bad("JIT-TABLE-ROW",
-                "table row " + std::to_string(rows) +
-                    " does not match the generated section",
-                rows);
-        ++rows;
-    }
-    if (rows != expect.laneWords.size())
-        bad("JIT-TABLE-COUNT",
-            "spatial_tables has " + std::to_string(rows) +
-                " rows, expected " +
-                std::to_string(expect.laneWords.size()));
-}
-
-// ---------------------------------------------------------------------
 // Whole-artifact entry points
 // ---------------------------------------------------------------------
 
@@ -1151,29 +813,12 @@ verifyCompiledMatrix(const core::CompiledMatrix &matrix,
     const PlanView planView = PlanView::of(plan);
     verifier.checkPlan(planView, &netlist, &report);
 
-    std::shared_ptr<const circuit::Segmentation> seg;
     if (opts.segmentKib != 0) {
-        seg = plan.segmentation(circuit::Segmentation::opsForBudget(
-            opts.segmentKib, opts.laneWords));
+        const auto seg =
+            plan.segmentation(circuit::Segmentation::opsForBudget(
+                opts.segmentKib, opts.laneWords));
         verifier.checkSegmentation(SegmentationView::of(*seg, plan),
                                    &report);
-    }
-
-    if (opts.auditJit) {
-        circuit::jit::JitSpec spec;
-        spec.laneWords = {1, 4};
-        Report jitReport = verifyJitSource(
-            plan, spec, circuit::jit::generateJitSource(plan, spec));
-        for (auto &d : jitReport.diagnostics)
-            report.diagnostics.push_back(std::move(d));
-        if (seg != nullptr) {
-            spec.segmentation = seg;
-            Report gatedReport = verifyJitSource(
-                plan, spec,
-                circuit::jit::generateJitSource(plan, spec));
-            for (auto &d : gatedReport.diagnostics)
-                report.diagnostics.push_back(std::move(d));
-        }
     }
     return report;
 }
@@ -1238,22 +883,6 @@ verifyFile(const std::string &path,
     Report designReport = verifyDesign(*design, opts);
     for (auto &d : designReport.diagnostics)
         report.diagnostics.push_back(std::move(d));
-    return report;
-}
-
-Report
-verifyJitSource(const ExecPlan &plan, const circuit::jit::JitSpec &spec,
-                const std::string &source)
-{
-    Report report;
-    const JitExpectation expect = JitExpectation::of(plan, spec);
-    if (expect.laneWords.empty()) {
-        if (!source.empty())
-            report.add(Severity::Error, Layer::Jit, "JIT-SECTION",
-                       "source generated for no valid lane words");
-        return report;
-    }
-    Verifier().checkJitSource(expect, source, &report);
     return report;
 }
 

@@ -3,18 +3,17 @@
  * Static verification of every compiled artifact the engine produces.
  *
  * Each layer of the compilation pipeline — Netlist, ExecPlan,
- * Segmentation, TilePlan, generated JIT source, and the `.sptd`
- * serialization — carries invariants the executors *assume* rather
- * than re-check on the hot path (SSA source ordering, hazard-free
- * commit order, exact segment partitions, constant-folded byte
- * offsets, ...).  This verifier re-derives every one of those
- * invariants from first principles and checks an artifact against
- * them **without executing it**: no simulation, no toolchain, no
- * dlopen.  A violation names the exact rule (a stable `NET-*` /
- * `PLAN-*` / `SEG-*` / `TILE-*` / `JIT-*` / `FILE-*` / `COMPILE-*`
- * id) plus the offending op/slot index, so a corrupted store file, a
- * hostile remote registration, or a compiler regression is diagnosed
- * in one line instead of as a downstream miscompare.
+ * Segmentation, TilePlan, and the `.sptd` serialization — carries
+ * invariants the executors *assume* rather than re-check on the hot
+ * path (SSA source ordering, hazard-free commit order, exact segment
+ * partitions, slot bookkeeping, ...).  This verifier re-derives every
+ * one of those invariants from first principles and checks an
+ * artifact against them **without executing it**.  A violation names
+ * the exact rule (a stable `NET-*` / `PLAN-*` / `SEG-*` / `TILE-*` /
+ * `FILE-*` / `COMPILE-*` id) plus the offending op/slot index, so a
+ * corrupted store file, a hostile remote registration, or a compiler
+ * regression is diagnosed in one line instead of as a downstream
+ * miscompare.
  *
  * Three consumers share this code (see docs/analysis.md for the full
  * rule catalog):
@@ -44,7 +43,6 @@
 #include <vector>
 
 #include "circuit/exec_plan.h"
-#include "circuit/jit.h"
 #include "circuit/netlist.h"
 #include "core/tiled_design.h"
 #include "experiments/design_cache.h"
@@ -53,7 +51,7 @@
 /**
  * @namespace spatial::analysis
  * Static artifact verification: invariant checks over compiled
- * designs, execution schedules, generated JIT source, and store files.
+ * designs, execution schedules, and store files.
  */
 namespace spatial::analysis
 {
@@ -73,7 +71,6 @@ enum class Layer : std::uint8_t
     Plan,         //!< circuit::ExecPlan schedule legality
     Segmentation, //!< circuit::Segmentation invariants
     Tile,         //!< core::TilePlan / TiledDesign invariants
-    Jit,          //!< generated JIT C source audit
     File,         //!< .sptd container (magic/version/checksum/key)
 };
 
@@ -213,35 +210,6 @@ struct TileView
     static TileView of(const core::TiledDesign &design);
 };
 
-/**
- * What a generated JIT translation unit must contain, derived from
- * the plan/segmentation it was generated for.  Mutable by tests (the
- * usual mutation is the source *text*, against an unchanged
- * expectation).
- */
-struct JitExpectation
-{
-    /** Comb tape the dense settle must mirror (plan order when
-     *  ungated, segmentation schedule order when gated). */
-    std::vector<circuit::ExecPlan::CombOp> comb;
-
-    /** Reg tape the dense commit must mirror. */
-    std::vector<circuit::ExecPlan::RegOp> regs;
-
-    std::size_t numSlots = 0;    //!< value slots incl. ones/zero
-    circuit::NodeId onesSlot = 0; //!< NOT-op marker slot
-    circuit::NodeId zeroSlot = 0; //!< DFF marker slot
-    bool gated = false;           //!< generated from a Segmentation
-    std::size_t numSegments = 0;  //!< descriptor num_segments field
-    /** Lane-word counts a section + table row must exist for, in
-     *  emission order (already filtered to {1..16}, deduplicated). */
-    std::vector<unsigned> laneWords;
-
-    /** Build the expectation compileJitModule() itself would meet. */
-    static JitExpectation of(const circuit::ExecPlan &plan,
-                             const circuit::jit::JitSpec &spec);
-};
-
 /** Tunables for whole-design verification. */
 struct VerifyOptions
 {
@@ -253,13 +221,6 @@ struct VerifyOptions
 
     /** Lane words for the segment budget derivation. */
     unsigned laneWords = 1;
-
-    /**
-     * Also generate the JIT translation units (ungated and, when the
-     * segmentation layer runs, gated) and audit them against the
-     * plan.  Pure string generation — no toolchain required.
-     */
-    bool auditJit = true;
 };
 
 /**
@@ -287,11 +248,6 @@ class Verifier
 
     /** Tile partition invariants: TILE-* rules. */
     void checkTiles(const TileView &tiles, Report *report) const;
-
-    /** Generated-source audit against an expectation: JIT-* rules. */
-    void checkJitSource(const JitExpectation &expect,
-                        const std::string &source,
-                        Report *report) const;
 };
 
 /**
@@ -304,9 +260,8 @@ Report verifyCompileRequest(const core::CompileOptions &options,
 
 /**
  * Verify one compiled tile end to end: netlist (with its output
- * columns), plan-vs-netlist, the Segmentation at the configured
- * budget, and — when opts.auditJit — the generated JIT source in both
- * flavors.  Executes nothing.
+ * columns), plan-vs-netlist, and the Segmentation at the configured
+ * budget.  Executes nothing.
  */
 Report verifyCompiledMatrix(const core::CompiledMatrix &matrix,
                             const VerifyOptions &opts = {});
@@ -327,15 +282,6 @@ Report verifyDesign(const core::TiledDesign &design,
 Report verifyFile(const std::string &path,
                   const experiments::DesignKey *expected = nullptr,
                   const VerifyOptions &opts = {});
-
-/**
- * Audit a generated JIT translation unit against the (plan, spec) it
- * was generated for.  `source` is the C text — tests bit-flip it and
- * assert the exact JIT-* rule that fires.
- */
-Report verifyJitSource(const circuit::ExecPlan &plan,
-                       const circuit::jit::JitSpec &spec,
-                       const std::string &source);
 
 } // namespace spatial::analysis
 

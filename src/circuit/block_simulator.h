@@ -7,9 +7,9 @@
  * independent input vectors per step (W=1 matches WideSimulator's 64
  * lanes; W=4 gives 256, W=8 gives 512).  The settle and commit sweeps
  * are executed by a circuit::kernels::Kernel — explicit SIMD code
- * (AVX2/AVX-512/NEON) selected once per process by runtime CPU
- * detection, or injected by the caller to pin a specific dispatch
- * target (the equivalence suite cross-checks every one).
+ * (AVX2/NEON) selected once per process by runtime CPU detection, or
+ * injected by the caller to pin a specific dispatch target (the
+ * equivalence suite cross-checks every one).
  *
  * Two execution modes share the class:
  *
@@ -59,7 +59,6 @@
 #include <vector>
 
 #include "circuit/exec_plan.h"
-#include "circuit/jit.h"
 #include "circuit/kernels.h"
 #include "common/aligned.h"
 #include "common/logging.h"
@@ -85,40 +84,22 @@ class BlockSimulator
      * run on `kernel` (default: the runtime-detected process kernel).
      * Passing a Segmentation of the same plan selects segmented,
      * activity-gated execution (see the file comment); nullptr selects
-     * the classic full sweeps.  Passing a jit::JitModule whose tables
-     * match this W and execution mode replaces the kernel sweeps with
-     * the module's generated code (same outputs, same toggle counts);
-     * a module that does not match — or nullptr — leaves the
-     * interpreted tape in charge, so callers can hand over whatever
-     * the design has attached without checking compatibility first.
+     * the classic full sweeps.
      */
     explicit BlockSimulator(
         const ExecPlan &plan, const kernels::Kernel *kernel = nullptr,
-        std::shared_ptr<const Segmentation> segmentation = nullptr,
-        std::shared_ptr<const jit::JitModule> jit = nullptr)
+        std::shared_ptr<const Segmentation> segmentation = nullptr)
         : plan_(plan),
           kernel_(kernel != nullptr ? *kernel : kernels::activeKernel()),
           segmentation_(std::move(segmentation)),
-          jitModule_(std::move(jit)),
           cur_(plan.numSlots() * W, 0),
           carry_(plan.regs().size() * W, 0)
     {
-        if (jitModule_ != nullptr) {
-            jitTables_ = jitModule_->tables(
-                W, segmentation_ != nullptr,
-                segmentation_ != nullptr
-                    ? segmentation_->opsPerSegment()
-                    : 0);
-        }
         if (segmentation_ != nullptr) {
             slotOf_ = segmentation_->slotOf().data();
             const std::size_t segments = segmentation_->segments().size();
             const std::size_t words = (segments + 63) / 64;
-            // An in-place module never touches the pending buffer —
-            // don't spend the pages (it is a full extra copy of the
-            // register state, a real working-set cost at W = 8).
-            if (jitTables_ == nullptr || !jitTables_->inPlace)
-                pending_.assign(segmentation_->regs().size() * W, 0);
+            pending_.assign(segmentation_->regs().size() * W, 0);
             dirtyNow_.assign(words, 0);
             dirtyNext_.assign(words, 0);
             flipPending_.assign(segments, 0);
@@ -189,10 +170,6 @@ class BlockSimulator
                         dst[w] = 0;
                 }
             }
-            if (jitTables_ != nullptr) {
-                jitTables_->settle(cur_.data());
-                return;
-            }
             const auto &comb = plan_.comb();
             kernel_.settle(comb.data(), comb.size(), cur_.data(), W);
             return;
@@ -225,13 +202,9 @@ class BlockSimulator
                 flipPending_[s] = 0;
                 flipSegment(segments[s], regs);
             }
-            if (jitTables_ != nullptr) {
-                jitTables_->settle(cur_.data());
-            } else {
-                const auto &all_comb = segmentation_->comb();
-                kernel_.settle(all_comb.data(), all_comb.size(),
-                               cur_.data(), W);
-            }
+            const auto &all_comb = segmentation_->comb();
+            kernel_.settle(all_comb.data(), all_comb.size(), cur_.data(),
+                           W);
             segmentsExecuted_ += segments.size();
             return;
         }
@@ -244,23 +217,13 @@ class BlockSimulator
         // activity wavefront this cycle.
         if (wasDense_) {
             wasDense_ = false;
-            // In-place modules keep the value array authoritative at
-            // all times, so a dense cycle leaves nothing to restore.
-            if (jitTables_ == nullptr || !jitTables_->inPlace)
-                std::fill(pendingStale_.begin(), pendingStale_.end(), 1);
+            std::fill(pendingStale_.begin(), pendingStale_.end(), 1);
             std::fill(dirtyNow_.begin(), dirtyNow_.end(),
                       ~std::uint64_t{0});
             const std::size_t tail = segments.size() % 64;
             if (tail != 0)
                 dirtyNow_.back() = (std::uint64_t{1} << tail) - 1;
         }
-
-        // An in-place module's steps overwrite register values the
-        // moment they run, so the whole gated pass is deferred to
-        // commit() — outputs sampled between the phases must present
-        // the pre-latch state.  dirtyNow_ stays queued until then.
-        if (jitTables_ != nullptr && jitTables_->inPlace)
-            return;
 
         // Build this cycle's wake set.  Quiescent segments are never
         // even looked at: changes wake exactly their consumers (comb
@@ -298,35 +261,10 @@ class BlockSimulator
             // its owner segment, so no earlier op can have observed
             // the stale value.
 
-            if (jitTables_ != nullptr) {
-                // The generated fused step folds the owed flip, the
-                // post-dense pending restore, the masked comb settle,
-                // and the gated commit into one pass; the host only
-                // reads its two change bits back into the wake sets.
-                const int flip = flipPending_[s] != 0 ? 1 : 0;
-                const int restore = pendingStale_[s] != 0 ? 1 : 0;
-                flipPending_[s] = 0;
-                pendingStale_[s] = 0;
-                const std::uint64_t r = jitTables_->segStep[s](
-                    cur_.data(), carry_.data(), pending_.data(),
-                    CountToggles ? &pendingToggles_ : nullptr, flip,
-                    restore);
-                if ((r & jit::kCombChanged) != 0)
-                    wake(dirtyNow_, consumers, seg.combConsumersBegin,
-                         seg.combConsumersEnd);
-                if ((r & jit::kRegChanged) != 0) {
-                    wake(dirtyNext_, consumers, seg.regConsumersBegin,
-                         seg.regConsumersEnd);
-                    dirtyNext_[word] |= std::uint64_t{1} << bit;
-                    flipPending_[s] = 1;
-                }
-                continue;
-            }
-
-            // The flip normally rides inside the
-            // gated commit sweep (which reloads pending anyway); only
-            // a segment with comb ops must flip up front, because its
-            // comb ops may read its own registers during settle.
+            // The flip normally rides inside the gated commit sweep
+            // (which reloads pending anyway); only a segment with comb
+            // ops must flip up front, because its comb ops may read its
+            // own registers during settle.
             bool flip = flipPending_[s] != 0;
             flipPending_[s] = 0;
             if (flip && seg.combEnd > seg.combBegin) {
@@ -396,12 +334,8 @@ class BlockSimulator
         if (!gated()) {
             const auto &regs = plan_.regs();
             const std::uint64_t toggles =
-                jitTables_ != nullptr
-                    ? jitTables_->commit(cur_.data(), carry_.data(),
-                                         CountToggles)
-                    : kernel_.commit(regs.data(), regs.size(),
-                                     cur_.data(), carry_.data(), W,
-                                     CountToggles);
+                kernel_.commit(regs.data(), regs.size(), cur_.data(),
+                               carry_.data(), W, CountToggles);
             if constexpr (CountToggles)
                 toggles_ += toggles;
             ++cycle_;
@@ -414,14 +348,9 @@ class BlockSimulator
             denseCycle_ = false;
             wasDense_ = true;
             const auto &regs = segmentation_->regs();
-            // A gated module's dense commit bakes the reverse walk in.
             const std::uint64_t toggles =
-                jitTables_ != nullptr
-                    ? jitTables_->commit(cur_.data(), carry_.data(),
-                                         CountToggles)
-                    : kernel_.commitReverse(regs.data(), regs.size(),
-                                            cur_.data(), carry_.data(),
-                                            W, CountToggles);
+                kernel_.commitReverse(regs.data(), regs.size(), cur_.data(),
+                                      carry_.data(), W, CountToggles);
             if constexpr (CountToggles)
                 toggles_ += toggles;
             // Any wake bits queued by an earlier gated cycle are
@@ -430,44 +359,6 @@ class BlockSimulator
             std::fill(dirtyNext_.begin(), dirtyNext_.end(), 0);
             ++cycle_;
             return;
-        }
-
-        // In-place modules run the whole gated pass here: drain the
-        // wake set in *reverse* segment order — every reader of a
-        // register then executes before its producer overwrites the
-        // value array, the same hazard-free order as the dense reverse
-        // commit — so new states land directly in cur_ with no pending
-        // buffer and no flip to owe.  Register changes only ever wake
-        // next-cycle consumers, so one descending scan is complete.
-        if (jitTables_ != nullptr && jitTables_->inPlace) {
-            const auto &segments = segmentation_->segments();
-            const auto *consumers = segmentation_->consumers().data();
-            std::uint64_t executed = 0;
-            for (std::size_t word = dirtyNow_.size(); word-- > 0;) {
-                std::uint64_t bits = dirtyNow_[word];
-                dirtyNow_[word] = 0;
-                while (bits != 0) {
-                    const auto bit = static_cast<unsigned>(
-                        63 - std::countl_zero(bits));
-                    bits &= ~(std::uint64_t{1} << bit);
-                    const std::size_t s = word * 64 + bit;
-                    ++executed;
-                    const std::uint64_t r = jitTables_->segStep[s](
-                        cur_.data(), carry_.data(), nullptr,
-                        CountToggles ? &pendingToggles_ : nullptr, 0,
-                        0);
-                    if ((r & jit::kRegChanged) != 0) {
-                        const Segmentation::Segment &seg = segments[s];
-                        for (std::uint32_t i = seg.regConsumersBegin;
-                             i < seg.regConsumersEnd; ++i)
-                            dirtyNext_[consumers[i] / 64] |=
-                                std::uint64_t{1} << (consumers[i] % 64);
-                        dirtyNext_[word] |= std::uint64_t{1} << bit;
-                    }
-                }
-            }
-            segmentsExecuted_ += executed;
-            segmentsSkipped_ += segments.size() - executed;
         }
 
         if constexpr (CountToggles)
@@ -547,9 +438,6 @@ class BlockSimulator
     /** Whether segmented, activity-gated execution is active. */
     bool gated() const { return segmentation_ != nullptr; }
 
-    /** Whether the sweeps run generated native code (see constructor). */
-    bool jitActive() const { return jitTables_ != nullptr; }
-
     /** Segments executed since reset (0 in full-sweep mode). */
     std::uint64_t segmentsExecuted() const { return segmentsExecuted_; }
 
@@ -602,10 +490,6 @@ class BlockSimulator
     const kernels::Kernel &kernel_; //!< sweep implementation
     std::shared_ptr<const Segmentation>
         segmentation_;                 //!< non-null = gated mode
-    std::shared_ptr<const jit::JitModule>
-        jitModule_; //!< keeps the generated code mapped while in use
-    const jit::JitTables *jitTables_ =
-        nullptr;                       //!< resolved entry points, or null
     const NodeId *slotOf_ = nullptr;   //!< gated: node id -> value slot
     AlignedWordVector cur_;   //!< numSlots()*W settled values
     AlignedWordVector carry_; //!< per-RegOp carry registers

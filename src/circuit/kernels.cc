@@ -763,249 +763,6 @@ transposeAvx2(std::uint64_t a[64])
     }
 }
 
-// ---------------------------------------------------------------------
-// AVX-512F: 512-bit registers, 8 lane-words per vector op, with the
-// settle and full-adder expressions folded into ternary-logic ops
-// ---------------------------------------------------------------------
-
-__attribute__((target("avx512f"))) void
-settleAvx512W8(const ExecPlan::CombOp *ops, std::size_t count,
-               std::uint64_t *cur)
-{
-    constexpr unsigned W = 8;
-    for (std::size_t i = 0; i < count; ++i) {
-        const auto &op = ops[i];
-        const __m512i va =
-            _mm512_loadu_si512(cur + std::size_t{op.a} * W);
-        const __m512i vb =
-            _mm512_loadu_si512(cur + std::size_t{op.b} * W);
-        const __m512i inv =
-            _mm512_set1_epi64(static_cast<long long>(op.inv));
-        // 0x6A = (a & b) ^ c.
-        _mm512_storeu_si512(cur + std::size_t{op.dst} * W,
-                            _mm512_ternarylogic_epi64(va, vb, inv, 0x6a));
-    }
-}
-
-void
-settleAvx512(const ExecPlan::CombOp *ops, std::size_t count,
-             std::uint64_t *cur, unsigned lane_words)
-{
-    switch (lane_words) {
-      case 8:
-        return settleAvx512W8(ops, count, cur);
-      case 4:
-        return settleAvx2T<4>(ops, count, cur); // AVX-512 implies AVX2
-      default:
-        return settleScalar(ops, count, cur, lane_words);
-    }
-}
-
-template <bool Count, bool Reverse = false>
-__attribute__((target("avx512f"))) std::uint64_t
-commitAvx512W8(const ExecPlan::RegOp *ops, std::size_t count,
-               std::uint64_t *cur, std::uint64_t *carry)
-{
-    constexpr unsigned W = 8;
-    std::uint64_t toggles = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-        const std::size_t k = Reverse ? count - 1 - i : i;
-        const auto &op = ops[k];
-        std::uint64_t *cw = carry + k * W;
-        std::uint64_t *dst = cur + std::size_t{op.dst} * W;
-        const __m512i va =
-            _mm512_loadu_si512(cur + std::size_t{op.a} * W);
-        const __m512i vb = _mm512_xor_epi64(
-            _mm512_loadu_si512(cur + std::size_t{op.b} * W),
-            _mm512_set1_epi64(static_cast<long long>(op.bInv)));
-        const __m512i vc = _mm512_loadu_si512(cw);
-        // 0x96 = a ^ b ^ c; 0xE8 = majority(a, b, c).
-        const __m512i sum = _mm512_ternarylogic_epi64(va, vb, vc, 0x96);
-        const __m512i next = _mm512_ternarylogic_epi64(va, vb, vc, 0xe8);
-        if constexpr (Count) {
-            alignas(64) std::uint64_t dt[8];
-            alignas(64) std::uint64_t ct[8];
-            _mm512_store_si512(
-                dt, _mm512_xor_epi64(_mm512_loadu_si512(dst), sum));
-            _mm512_store_si512(ct, _mm512_xor_epi64(vc, next));
-            for (int i = 0; i < 8; ++i)
-                toggles += static_cast<std::uint64_t>(
-                    std::popcount(dt[i]) + std::popcount(ct[i]));
-        }
-        _mm512_storeu_si512(dst, sum);
-        _mm512_storeu_si512(cw, next);
-    }
-    return toggles;
-}
-
-std::uint64_t
-commitAvx512(const ExecPlan::RegOp *ops, std::size_t count,
-             std::uint64_t *cur, std::uint64_t *carry, unsigned lane_words,
-             bool count_toggles)
-{
-    switch (lane_words) {
-      case 8:
-        return count_toggles
-                   ? commitAvx512W8<true>(ops, count, cur, carry)
-                   : commitAvx512W8<false>(ops, count, cur, carry);
-      case 4:
-        return count_toggles
-                   ? commitAvx2T<4, true>(ops, count, cur, carry)
-                   : commitAvx2T<4, false>(ops, count, cur, carry);
-      default:
-        return commitScalar(ops, count, cur, carry, lane_words,
-                            count_toggles);
-    }
-}
-
-std::uint64_t
-commitReverseAvx512(const ExecPlan::RegOp *ops, std::size_t count,
-                    std::uint64_t *cur, std::uint64_t *carry,
-                    unsigned lane_words, bool count_toggles)
-{
-    switch (lane_words) {
-      case 8:
-        return count_toggles
-                   ? commitAvx512W8<true, true>(ops, count, cur, carry)
-                   : commitAvx512W8<false, true>(ops, count, cur, carry);
-      case 4:
-        return count_toggles
-                   ? commitAvx2T<4, true, true>(ops, count, cur, carry)
-                   : commitAvx2T<4, false, true>(ops, count, cur, carry);
-      default:
-        return commitReverseScalar(ops, count, cur, carry, lane_words,
-                                   count_toggles);
-    }
-}
-
-__attribute__((target("avx512f"))) std::uint64_t
-settleMaskedAvx512W8(const ExecPlan::CombOp *ops, std::size_t count,
-                     std::uint64_t *cur)
-{
-    constexpr unsigned W = 8;
-    __m512i change = _mm512_setzero_si512();
-    for (std::size_t i = 0; i < count; ++i) {
-        const auto &op = ops[i];
-        std::uint64_t *dst = cur + std::size_t{op.dst} * W;
-        const __m512i va =
-            _mm512_loadu_si512(cur + std::size_t{op.a} * W);
-        const __m512i vb =
-            _mm512_loadu_si512(cur + std::size_t{op.b} * W);
-        const __m512i inv =
-            _mm512_set1_epi64(static_cast<long long>(op.inv));
-        // 0x6A = (a & b) ^ c.
-        const __m512i next =
-            _mm512_ternarylogic_epi64(va, vb, inv, 0x6a);
-        change = _mm512_or_epi64(
-            change, _mm512_xor_epi64(_mm512_loadu_si512(dst), next));
-        _mm512_storeu_si512(dst, next);
-    }
-    // _mm512_reduce_or_epi64 trips a GCC -Wuninitialized false positive
-    // (its extract idiom reads an undefined register), so reduce by
-    // store + OR — once per segment call, cost-free.
-    alignas(64) std::uint64_t folded[8];
-    _mm512_store_si512(folded, change);
-    std::uint64_t mask = 0;
-    for (int i = 0; i < 8; ++i)
-        mask |= folded[i];
-    return mask;
-}
-
-std::uint64_t
-settleMaskedAvx512(const ExecPlan::CombOp *ops, std::size_t count,
-                   std::uint64_t *cur, unsigned lane_words)
-{
-    switch (lane_words) {
-      case 8:
-        return settleMaskedAvx512W8(ops, count, cur);
-      case 4:
-        return settleMaskedAvx2T<4>(ops, count, cur);
-      default:
-        return settleMaskedScalar(ops, count, cur, lane_words);
-    }
-}
-
-template <bool Count>
-__attribute__((target("avx512f"))) std::uint64_t
-commitGatedAvx512W8(const ExecPlan::RegOp *ops, std::size_t count,
-                    const std::uint64_t *cur, std::uint64_t *carry,
-                    std::uint64_t *pending, std::uint64_t *toggles,
-                    std::uint64_t *flip_cur)
-{
-    constexpr unsigned W = 8;
-    __m512i change = _mm512_setzero_si512();
-    std::uint64_t local_toggles = 0;
-    for (std::size_t k = 0; k < count; ++k) {
-        const auto &op = ops[k];
-        std::uint64_t *cw = carry + k * W;
-        std::uint64_t *pend = pending + k * W;
-        const __m512i va =
-            _mm512_loadu_si512(cur + std::size_t{op.a} * W);
-        const __m512i vb = _mm512_xor_epi64(
-            _mm512_loadu_si512(cur + std::size_t{op.b} * W),
-            _mm512_set1_epi64(static_cast<long long>(op.bInv)));
-        const __m512i vc = _mm512_loadu_si512(cw);
-        // 0x96 = a ^ b ^ c; 0xE8 = majority(a, b, c).
-        const __m512i sum = _mm512_ternarylogic_epi64(va, vb, vc, 0x96);
-        const __m512i next = _mm512_ternarylogic_epi64(va, vb, vc, 0xe8);
-        const __m512i old = _mm512_loadu_si512(pend);
-        if (flip_cur != nullptr)
-            _mm512_storeu_si512(flip_cur + std::size_t{op.dst} * W, old);
-        const __m512i dst_change = _mm512_xor_epi64(old, sum);
-        const __m512i carry_change = _mm512_xor_epi64(vc, next);
-        change = _mm512_or_epi64(
-            change, _mm512_or_epi64(dst_change, carry_change));
-        if constexpr (Count) {
-            alignas(64) std::uint64_t dt[8];
-            alignas(64) std::uint64_t ct[8];
-            _mm512_store_si512(dt, dst_change);
-            _mm512_store_si512(ct, carry_change);
-            for (int i = 0; i < 8; ++i)
-                local_toggles += static_cast<std::uint64_t>(
-                    std::popcount(dt[i]) + std::popcount(ct[i]));
-        }
-        _mm512_storeu_si512(pend, sum);
-        _mm512_storeu_si512(cw, next);
-    }
-    if constexpr (Count)
-        *toggles += local_toggles;
-    alignas(64) std::uint64_t folded[8];
-    _mm512_store_si512(folded, change);
-    std::uint64_t mask = 0;
-    for (int i = 0; i < 8; ++i)
-        mask |= folded[i];
-    return mask;
-}
-
-std::uint64_t
-commitGatedAvx512(const ExecPlan::RegOp *ops, std::size_t count,
-                  const std::uint64_t *cur, std::uint64_t *carry,
-                  std::uint64_t *pending, unsigned lane_words,
-                  bool count_toggles, std::uint64_t *toggles,
-                  std::uint64_t *flip_cur)
-{
-    switch (lane_words) {
-      case 8:
-        return count_toggles
-                   ? commitGatedAvx512W8<true>(ops, count, cur, carry,
-                                               pending, toggles, flip_cur)
-                   : commitGatedAvx512W8<false>(ops, count, cur, carry,
-                                                pending, toggles,
-                                                flip_cur);
-      case 4:
-        return count_toggles
-                   ? commitGatedAvx2T<4, true>(ops, count, cur, carry,
-                                               pending, toggles, flip_cur)
-                   : commitGatedAvx2T<4, false>(ops, count, cur, carry,
-                                                pending, toggles,
-                                                flip_cur);
-      default:
-        return commitGatedScalar(ops, count, cur, carry, pending,
-                                 lane_words, count_toggles, toggles,
-                                 flip_cur);
-    }
-}
-
 #endif // SPATIAL_KERNELS_X86
 
 #if SPATIAL_KERNELS_NEON
@@ -1317,19 +1074,6 @@ avx2Kernel()
     return kernel;
 }
 
-const Kernel &
-avx512Kernel()
-{
-    // The transpose reuses the AVX2 butterfly (AVX-512 implies AVX2);
-    // the settle/commit sweeps are where the extra width pays.
-    static const Kernel kernel{"avx512",        8,
-                               settleAvx512,    commitAvx512,
-                               commitReverseAvx512,
-                               settleMaskedAvx512, commitGatedAvx512,
-                               transposeAvx2};
-    return kernel;
-}
-
 #endif
 
 #if SPATIAL_KERNELS_NEON
@@ -1366,14 +1110,8 @@ supportedKernels()
     static const std::vector<const Kernel *> kernels = [] {
         std::vector<const Kernel *> list;
 #if SPATIAL_KERNELS_X86
-        // avx2 outranks avx512 on purpose: the wider kernel measures
-        // 5-15% slower on the Skylake-era servers we benchmark (512-bit
-        // port limits / license-based downclocking), so the widest ISA
-        // is opt-in via SPATIAL_KERNEL=avx512 rather than the default.
         if (__builtin_cpu_supports("avx2"))
             list.push_back(&avx2Kernel());
-        if (__builtin_cpu_supports("avx512f"))
-            list.push_back(&avx512Kernel());
 #endif
 #if SPATIAL_KERNELS_NEON
         list.push_back(&neonKernel());

@@ -7,7 +7,7 @@
  * and the batch engine adds a third hot spot, the 64x64 bit-matrix
  * transpose that converts lane-major values to bit-plane lane-words.
  * All three are pure 64-bit word-parallel bit logic, which vector units
- * execute 2-8 words at a time; relying on auto-vectorization of the
+ * execute 2-4 words at a time; relying on auto-vectorization of the
  * fixed-trip word loops (the PR 1 approach) leaves most of that width
  * unused because Release builds target baseline SSE2.
  *
@@ -18,17 +18,16 @@
  *  - `scalar` — portable 64-bit code, always present; semantically the
  *    reference (it is the PR 1 inner loop, hoisted out of the class).
  *  - `avx2`   — 256-bit, 4 lane-words per op (x86 with AVX2).
- *  - `avx512` — 512-bit, 8 lane-words per op, using ternary-logic ops
- *    (x86 with AVX-512F).
  *  - `neon`   — 128-bit, 2 lane-words per op (AArch64).
  *
+ * There is deliberately no 512-bit kernel: the tape is bound by memory
+ * bandwidth, and an AVX-512 kernel never cleared AVX2 by the 1.15x a
+ * second path must earn (see docs/simulation.md), so it was removed.
+ *
  * activeKernel() picks the best supported kernel once per process —
- * preference order avx2, avx512, neon, scalar: AVX2 outranks AVX-512
- * because the wider kernel measures slower on the Skylake-era servers
- * we benchmark (overridable with the SPATIAL_KERNEL environment
- * variable, e.g. SPATIAL_KERNEL=avx512 to opt into the 512-bit sweeps
- * or SPATIAL_KERNEL=scalar to rule the SIMD paths out while
- * debugging);
+ * preference order avx2, neon, scalar (overridable with the
+ * SPATIAL_KERNEL environment variable, e.g. SPATIAL_KERNEL=scalar to
+ * rule the SIMD paths out while debugging);
  * SimOptions::kernel and the BlockSimulator constructor accept an
  * explicit Kernel so the equivalence suite and the throughput bench can
  * pin every dispatch target.
@@ -73,7 +72,7 @@ namespace spatial::circuit::kernels
  */
 struct Kernel
 {
-    /** Registry name: "scalar", "avx2", "avx512", or "neon". */
+    /** Registry name: "scalar", "avx2", or "neon". */
     const char *name;
 
     /**
@@ -165,8 +164,7 @@ const Kernel &scalarKernel();
 
 /**
  * Kernels compiled into this binary and supported by the running CPU
- * in dispatch-preference order (avx2 before avx512 — see the file
- * comment); the scalar kernel is always last.
+ * in dispatch-preference order; the scalar kernel is always last.
  */
 const std::vector<const Kernel *> &supportedKernels();
 

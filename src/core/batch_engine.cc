@@ -35,25 +35,6 @@ segmentationFor(const CompiledMatrix &design, const SimOptions &options,
 }
 
 /**
- * The design's attached JIT module matching this run's configuration,
- * or null (interpreter).  Null whenever SimOptions::jit is off, and
- * for cold designs nobody admitted with ensureJit() — the engine never
- * compiles inline.
- */
-std::shared_ptr<const circuit::jit::JitModule>
-jitModuleFor(const CompiledMatrix &design, const SimOptions &options,
-             unsigned lane_words)
-{
-    if (!options.jit)
-        return nullptr;
-    return design.jitFor(
-        lane_words, options.activityGating,
-        options.activityGating ? circuit::Segmentation::opsForBudget(
-                                     options.segmentKib, lane_words)
-                               : 0);
-}
-
-/**
  * Per-worker execution context: one simulator plus the input/capture
  * planes, reused across every group the worker processes.  Product
  * paths skip toggle accounting; the activity probe turns it on.
@@ -66,9 +47,7 @@ class GroupRunner
                 const circuit::kernels::Kernel &kernel,
                 const SimOptions &options)
         : design_(design),
-          sim_(design.plan(), &kernel, segmentationFor(design, options, W),
-               jitModuleFor(design, options, W)),
-          jitRequested_(options.jit),
+          sim_(design.plan(), &kernel, segmentationFor(design, options, W)),
           planeStride_(design.rows() * W),
           planes_((static_cast<std::size_t>(design.options().inputBits) + 1) *
                       planeStride_,
@@ -199,12 +178,6 @@ class GroupRunner
         // bank this group's segment accounting now.
         stats_.segmentsExecuted += sim_.segmentsExecuted();
         stats_.segmentsSkipped += sim_.segmentsSkipped();
-        if (jitRequested_) {
-            if (sim_.jitActive())
-                ++stats_.jitGroups;
-            else
-                ++stats_.interpFallbackGroups;
-        }
     }
 
     const circuit::BlockSimulator<W, CountToggles> &sim() const
@@ -218,7 +191,6 @@ class GroupRunner
   private:
     const CompiledMatrix &design_;
     circuit::BlockSimulator<W, CountToggles> sim_;
-    bool jitRequested_;       //!< options.jit (for fallback accounting)
     std::size_t planeStride_; //!< words per input plane (rows * W)
     std::vector<std::uint64_t> planes_;
     std::vector<std::uint64_t> capture_;
@@ -298,8 +270,8 @@ runBatchWideT(const CompiledMatrix &design, const IntMatrix &batch,
  * shows one over-budget W=4 AVX2 pass beats four cached scalar passes
  * (18.6 ms vs 29.3 ms on the 26k-node acceptance design).  When the
  * batch cannot fill a vector, the floor does not apply — there the
- * same measurement flips (one half-empty W=8 AVX-512 pass is 2.7x
- * slower than two cached scalar passes), so the kernel's scalar
+ * same measurement flips (one half-empty W=8 pass of a since-removed
+ * 512-bit kernel was 2.7x slower than two cached scalar passes), so the kernel's scalar
  * fallback at a cache-fitting W is the fast path.
  */
 unsigned
@@ -322,7 +294,7 @@ autoLaneWords(const CompiledMatrix &design, std::size_t batch_rows,
     // shrink below does not apply — and the widest block the batch can
     // fill amortizes the gated sweeps' per-op overhead over twice the
     // lanes (measured: W=8 gated beats W=4 gated by ~1.2x on the
-    // acceptance workload for both vector kernels).
+    // acceptance workload with AVX2).
     if (activity_gating)
         return w;
     while (w > floor && state_bytes_per_word * w > cache_budget_bytes)
@@ -417,9 +389,7 @@ measureSwitchingActivity(const CompiledMatrix &design,
 TapeGemv::TapeGemv(const CompiledMatrix &design, const SimOptions &options)
     : design_(design),
       sim_(design.plan(), &resolvedKernel(options),
-           segmentationFor(design, options, 1),
-           jitModuleFor(design, options, 1)),
-      jitRequested_(options.jit),
+           segmentationFor(design, options, 1)),
       planes_((static_cast<std::size_t>(design.options().inputBits) + 1) *
                   design.rows(),
               0),
@@ -492,12 +462,6 @@ TapeGemv::multiplyInto(const std::vector<std::int64_t> &x,
     // Bank the multiply's segment accounting before the next reset().
     stats_.segmentsExecuted += sim_.segmentsExecuted();
     stats_.segmentsSkipped += sim_.segmentsSkipped();
-    if (jitRequested_) {
-        if (sim_.jitActive())
-            ++stats_.jitGroups;
-        else
-            ++stats_.interpFallbackGroups;
-    }
 
     out.resize(cols);
     for (std::size_t c = 0; c < cols; ++c)

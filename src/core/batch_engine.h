@@ -45,27 +45,12 @@ struct BatchStats
     /** Segments skipped as provably quiescent. */
     std::uint64_t segmentsSkipped = 0;
 
-    /**
-     * Lane groups executed through a design-attached JIT module
-     * (always 0 unless SimOptions::jit requested one).
-     */
-    std::uint64_t jitGroups = 0;
-
-    /**
-     * Lane groups that requested JIT execution but fell back to the
-     * interpreted tape (cold design, no matching module, or no
-     * toolchain); groups run without SimOptions::jit do not count.
-     */
-    std::uint64_t interpFallbackGroups = 0;
-
     /** Accumulate another run's counters. */
     void
     add(const BatchStats &other)
     {
         segmentsExecuted += other.segmentsExecuted;
         segmentsSkipped += other.segmentsSkipped;
-        jitGroups += other.jitGroups;
-        interpFallbackGroups += other.interpFallbackGroups;
     }
 };
 
@@ -142,7 +127,6 @@ class TapeGemv
   private:
     const CompiledMatrix &design_;
     circuit::BlockSimulator<1, false> sim_;
-    bool jitRequested_;                 //!< options.jit (accounting)
     std::vector<std::uint64_t> planes_; //!< (inputBits+1) x rows words
     std::vector<std::uint64_t> raw_;    //!< per-column captured bits
     BatchStats stats_;                  //!< cumulative segment counters

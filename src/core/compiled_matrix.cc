@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "circuit/exec_plan.h"
-#include "circuit/jit.h"
 #include "circuit/wide_simulator.h"
 #include "core/batch_engine.h"
 #include "core/latency.h"
@@ -186,95 +185,6 @@ CompiledMatrix::multiplyBatchWideLegacy(const IntMatrix &batch) const
         runWideGroup(*this, batch, first, lanes, sim, out);
     }
     return out;
-}
-
-namespace
-{
-
-/**
- * The segmentation op budget `options` resolves to at `lane_words` —
- * the key half of the (W, gated, ops) triple a module's tables are
- * matched on.  Gated budgets depend on W, so each gated W needs its
- * own module.
- */
-std::size_t
-jitOpsPerSegment(const SimOptions &options, unsigned lane_words)
-{
-    if (!options.activityGating)
-        return 0;
-    return circuit::Segmentation::opsForBudget(options.segmentKib,
-                                               lane_words);
-}
-
-} // namespace
-
-std::shared_ptr<const circuit::jit::JitModule>
-CompiledMatrix::jitFor(unsigned lane_words, bool gated,
-                       std::size_t ops_per_segment) const
-{
-    const std::lock_guard<std::mutex> lock(jit_->mutex);
-    for (const auto &module : jit_->modules)
-        if (module->tables(lane_words, gated, ops_per_segment) != nullptr)
-            return module;
-    return nullptr;
-}
-
-std::shared_ptr<const circuit::jit::JitModule>
-CompiledMatrix::ensureJit(const SimOptions &options,
-                          unsigned lane_words) const
-{
-    const bool gated = options.activityGating;
-    const std::size_t ops = jitOpsPerSegment(options, lane_words);
-    if (auto existing = jitFor(lane_words, gated, ops))
-        return existing;
-
-    // Compile outside the lock: the out-of-process cc run takes
-    // seconds, and concurrent jitFor() lookups (engine workers on
-    // other designs' modules) must not stall behind it.
-    circuit::jit::JitSpec spec;
-    if (gated) {
-        spec.segmentation = plan().segmentation(ops);
-        // The engine only ever samples the output columns between
-        // settle() and commit(), so every other single-segment comb
-        // value may live in a vector register of its fused step
-        // (JitSpec::sampledNodes): per-node probes of such slots go
-        // through the interpreter or a spec without this list.
-        std::vector<circuit::NodeId> sampled;
-        sampled.reserve(outputs_.size());
-        for (const auto &output : outputs_)
-            sampled.push_back(output.node);
-        spec.sampledNodes = std::move(sampled);
-    }
-    spec.laneWords = {lane_words};
-    auto module = circuit::jit::compileJitModule(plan(), spec);
-    if (module == nullptr)
-        return nullptr;
-
-    const std::lock_guard<std::mutex> lock(jit_->mutex);
-    // A concurrent ensureJit for the same configuration may have won
-    // the race; keep its module and drop ours (dtor unloads it).
-    for (const auto &attached : jit_->modules)
-        if (attached->tables(lane_words, gated, ops) != nullptr)
-            return attached;
-    jit_->modules.push_back(module);
-    return module;
-}
-
-std::size_t
-CompiledMatrix::jitModuleCount() const
-{
-    const std::lock_guard<std::mutex> lock(jit_->mutex);
-    return jit_->modules.size();
-}
-
-double
-CompiledMatrix::jitCompileSeconds() const
-{
-    const std::lock_guard<std::mutex> lock(jit_->mutex);
-    double total = 0;
-    for (const auto &module : jit_->modules)
-        total += module->compileSeconds();
-    return total;
 }
 
 IntMatrix

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "circuit/netlist.h"
@@ -22,11 +21,6 @@ namespace spatial::circuit
 {
 class ExecPlan;
 } // namespace spatial::circuit
-
-namespace spatial::circuit::jit
-{
-class JitModule;
-} // namespace spatial::circuit::jit
 
 namespace spatial::store
 {
@@ -134,47 +128,10 @@ class CompiledMatrix
      */
     IntMatrix multiplyBatchWideLegacy(const IntMatrix &batch) const;
 
-    /**
-     * Compile and attach a circuit::jit module matching `options`'
-     * execution mode at `lane_words` (W), or return the already
-     * attached match.  This is the admission step SimOptions::jit
-     * relies on: the engine itself never compiles, it only uses
-     * modules attached here.  Returns null — leaving the design on
-     * the interpreted tape — when no toolchain is available or the
-     * out-of-process compile fails.  Thread-safe and idempotent;
-     * `const` because designs are shared immutably (the attachment is
-     * an execution cache, not a semantic change).
-     */
-    std::shared_ptr<const circuit::jit::JitModule>
-    ensureJit(const SimOptions &options, unsigned lane_words) const;
-
-    /**
-     * The attached module whose tables match (W, gated,
-     * ops-per-segment), or null.  The engine resolves through this per
-     * worker; a null is the interpreter fallback, never an error.
-     */
-    std::shared_ptr<const circuit::jit::JitModule>
-    jitFor(unsigned lane_words, bool gated,
-           std::size_t ops_per_segment) const;
-
-    /** Attached JIT modules (0 = cold design / fallback). */
-    std::size_t jitModuleCount() const;
-
-    /** Total out-of-process compile seconds across attached modules. */
-    double jitCompileSeconds() const;
-
   private:
     friend class MatrixCompiler;
     /** The store's load path rebuilds designs field-by-field. */
     friend class spatial::store::DesignSerializer;
-
-    /** JIT modules attached to this design, shared across copies. */
-    struct JitAttachment
-    {
-        mutable std::mutex mutex;
-        std::vector<std::shared_ptr<const circuit::jit::JitModule>>
-            modules;
-    };
 
     circuit::Netlist netlist_;
     std::shared_ptr<const circuit::ExecPlan> plan_;
@@ -186,8 +143,6 @@ class CompiledMatrix
     int outputBits_ = 0;
     std::size_t weightOnes_ = 0;
     std::uint32_t drainCycles_ = 0;
-    std::shared_ptr<JitAttachment> jit_ =
-        std::make_shared<JitAttachment>();
 };
 
 /**

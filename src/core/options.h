@@ -106,7 +106,7 @@ struct SimOptions
      * shrunk while the simulator state overflows a conservative
      * mid-level-cache budget; when the batch fills at least one vector
      * register of the dispatched kernel (an AVX2 op covers 4 words,
-     * AVX-512 covers 8), the shrink floors at that width so large
+     * NEON 2), the shrink floors at that width so large
      * batches always ride the SIMD sweeps.  Under activity gating the
      * cache shrink is skipped entirely: execution is already blocked
      * into L1-sized segments, and the widest fillable block amortizes
@@ -116,10 +116,11 @@ struct SimOptions
 
     /**
      * SIMD kernel executing the settle/commit sweeps and transposes
-     * (see circuit/kernels.h).  nullptr = the process-wide kernel
-     * picked by runtime CPU detection (overridable with the
-     * SPATIAL_KERNEL environment variable); tests and the throughput
-     * bench inject specific kernels to compare dispatch targets.
+     * (see circuit/kernels.h): scalar, avx2 or neon.  nullptr = the
+     * process-wide kernel picked by runtime CPU detection (overridable
+     * with the SPATIAL_KERNEL environment variable); tests and the
+     * throughput bench inject specific kernels to compare dispatch
+     * targets.
      */
     const circuit::kernels::Kernel *kernel = nullptr;
 
@@ -144,20 +145,6 @@ struct SimOptions
      * acceptance workload, degrading past the L1 size.
      */
     unsigned segmentKib = 4;
-
-    /**
-     * Execute through the design's attached JIT module
-     * (circuit::jit) when one matching this configuration is present:
-     * straight-line native code generated per design — constant-folded
-     * slot offsets, per-kind specialization, the segment gating's
-     * change masks baked in — replacing the interpreted tape sweeps.
-     * The engine never compiles inline: callers admit a design with
-     * CompiledMatrix::ensureJit() (the serving DesignStore does this
-     * at admission), and any design without a matching module — cold,
-     * evicted, or on a toolchain-less host — runs the interpreted
-     * tape with identical outputs and toggle counts.
-     */
-    bool jit = false;
 };
 
 } // namespace spatial::core

@@ -160,24 +160,6 @@ TiledDesign::drainCycles() const
 }
 
 std::size_t
-TiledDesign::jitModuleCount() const
-{
-    std::size_t n = 0;
-    for (const auto &t : tiles_)
-        n += t->jitModuleCount();
-    return n;
-}
-
-double
-TiledDesign::jitCompileSeconds() const
-{
-    double s = 0.0;
-    for (const auto &t : tiles_)
-        s += t->jitCompileSeconds();
-    return s;
-}
-
-std::size_t
 TiledDesign::netlistNodes() const
 {
     std::size_t n = 0;

@@ -8,8 +8,8 @@
  * accelerators".  core::planColumnTiles already knows how to cut a
  * matrix into contiguous column strips whose ones-cost fits a device
  * budget; TiledDesign drives that plan from the runtime.  Each tile is
- * an ordinary CompiledMatrix (its own netlist, ExecPlan, SIMD tape,
- * activity gating, and JIT attachment), and because the output columns
+ * an ordinary CompiledMatrix (its own netlist, ExecPlan, SIMD tape
+ * and activity gating), and because the output columns
  * of a GEMV are independent dot products, the tile results stitch
  * together by column concatenation — the composed result is bit-exact
  * with compiling the whole matrix at once.
@@ -115,7 +115,7 @@ class TiledDesign
     /** Tile `i`'s compiled strip. */
     const CompiledMatrix &tile(std::size_t i) const { return *tiles_[i]; }
 
-    /** Tile `i`'s strip as a shareable pointer (serializer, JIT). */
+    /** Tile `i`'s strip as a shareable pointer (serializer). */
     const std::shared_ptr<const CompiledMatrix> &
     tilePtr(std::size_t i) const
     {
@@ -136,12 +136,6 @@ class TiledDesign
 
     /** Worst-case drain cycles across tiles (tiles run in parallel). */
     std::uint32_t drainCycles() const;
-
-    /** Attached JIT modules summed over tiles. */
-    std::size_t jitModuleCount() const;
-
-    /** JIT compile seconds summed over tiles. */
-    double jitCompileSeconds() const;
 
     /** Netlist nodes summed over tiles (size reporting). */
     std::size_t netlistNodes() const;

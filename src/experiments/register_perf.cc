@@ -12,7 +12,6 @@
 #include <chrono>
 #include <string>
 
-#include "circuit/jit.h"
 #include "circuit/kernels.h"
 #include "common/logging.h"
 #include "common/rng.h"
@@ -59,12 +58,11 @@ makeSimThroughput()
                 "interpreter";
     exp.description = "batch-engine wall-clock speedup over the seed "
                       "path per SIMD kernel, gated and ungated, "
-                      "interpreted and JIT-compiled, bit-exact";
-    exp.runtime = "~3 min (timing loops; jit=1 rows add admission "
-                  "compiles)";
+                      "bit-exact";
+    exp.runtime = "~5 s (timing loops)";
     exp.columns = {"dim", "bits", "batch", "sparsity", "nodes",
                    "drain cycles", "kernel", "lane words", "threads",
-                   "gating", "jit", "seg skip %", "legacy ms", "tape ms",
+                   "gating", "seg skip %", "legacy ms", "tape ms",
                    "gemv/s", "speedup", "vs scalar"};
     exp.grid = Grid::cartesian(
         {Axis{"dim", {std::int64_t{256}}},
@@ -72,11 +70,6 @@ makeSimThroughput()
          Axis{"bits", {std::int64_t{8}}},
          Axis{"sparsity", {0.9}},
          Axis{"gating", {std::int64_t{1}, std::int64_t{0}}},
-         // jit = 1 re-times the gated/ungated configurations through
-         // the design's admission-compiled native modules; rows fall
-         // back to jit = 0 behaviour (and say so in the jit column)
-         // when no C toolchain is reachable.
-         Axis{"jit", {std::int64_t{0}, std::int64_t{1}}},
          Axis{"repeats", {std::int64_t{3}}}});
     exp.serialOnly = true; // wall-clock timing; no concurrent neighbours
     exp.evaluate = [](const ParamPoint &point, const void *,
@@ -88,7 +81,6 @@ makeSimThroughput()
         const int bits = static_cast<int>(point.getInt("bits"));
         const double sparsity = point.getReal("sparsity");
         const bool gating = point.getInt("gating") != 0;
-        const bool jit = point.getInt("jit") != 0;
         const int repeats = static_cast<int>(point.getInt("repeats"));
 
         Rng rng(99);
@@ -130,9 +122,7 @@ makeSimThroughput()
 
         // One row per dispatch target, timed in ascending vector
         // width: scalar first so the last column can report each
-        // vector kernel against it, and AVX-512 last so its lingering
-        // license-based downclock stays out of the other kernels'
-        // timing windows.
+        // vector kernel against it.
         auto kernels = circuit::kernels::supportedKernels();
         std::sort(kernels.begin(), kernels.end(),
                   [](const auto *a, const auto *b) {
@@ -148,28 +138,11 @@ makeSimThroughput()
             // code, not how the group scheduler shares the machine.
             if (sim.threads == 0)
                 sim.threads = 1;
-            bool jit_ran = false;
-            if (jit) {
-                // Admission compiles are seconds-to-minutes per
-                // (W, gating) pair, so jit rows cover only the
-                // process-dispatched kernel — the configuration the
-                // serving path actually runs — and report whether the
-                // module really executed (0 = interpreter fallback,
-                // e.g. no C toolchain on the host).
-                if (kernel != &circuit::kernels::activeKernel())
-                    continue;
-                sim.jit = true;
-                const unsigned w =
-                    core::resolvedLaneWords(design, sim, batch_rows);
-                jit_ran = design.ensureJit(sim, w) != nullptr;
-            }
             core::BatchStats seg_stats;
             if (!(legacy_out ==
                   core::runBatchWide(design, batch, sim, &seg_stats)))
                 SPATIAL_FATAL("sim_throughput: kernel ", kernel->name,
                               " disagrees with the seed path");
-            if (jit)
-                jit_ran = jit_ran && seg_stats.jitGroups > 0;
             const double seg_total = static_cast<double>(
                 seg_stats.segmentsExecuted + seg_stats.segmentsSkipped);
             const double skip_pct =
@@ -193,7 +166,6 @@ makeSimThroughput()
                  cell(static_cast<int>(lane_words)),
                  cell(static_cast<int>(sim.threads)),
                  cell(static_cast<int>(gating ? 1 : 0)),
-                 cell(static_cast<int>(jit_ran ? 1 : 0)),
                  cell(skip_pct, 3), cell(legacy_s * 1e3, 4),
                  cell(tape_s * 1e3, 4),
                  cell(static_cast<double>(batch_rows) / tape_s, 1),
@@ -205,13 +177,10 @@ makeSimThroughput()
     exp.expectedShape =
         "Speedup is the wall-clock ratio of the seed interpreter to "
         "the compiled-tape engine on identical (bit-exact) work, one "
-        "row per (SIMD kernel, activity gating) pair plus one jit = 1 "
-        "row per gating mode on the dispatched kernel; the preferred "
+        "row per (SIMD kernel, activity gating) pair; the preferred "
         "vector kernel should lead, gated rows should skip over half "
-        "of all segment-cycles on this drain-heavy workload, jit rows "
-        "should beat their interpreted twins (jit = 0 means the host "
-        "had no toolchain and the row fell back), and multi-core "
-        "machines add near-linear thread scaling.";
+        "of all segment-cycles on this drain-heavy workload, and "
+        "multi-core machines add near-linear thread scaling.";
     return exp;
 }
 

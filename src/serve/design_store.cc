@@ -7,7 +7,6 @@
 #include "analysis/verifier.h"
 #include "common/fault.h"
 #include "common/logging.h"
-#include "core/batch_engine.h"
 
 namespace spatial::serve
 {
@@ -74,56 +73,6 @@ DesignStore::demote(std::vector<Demotion> demotions)
         if (cold_->put(key, *design, &written) && written)
             demotions_.fetch_add(1, std::memory_order_relaxed);
     }
-}
-
-void
-DesignStore::setJitAdmission(const core::SimOptions &sim,
-                             std::size_t max_batch_lanes)
-{
-    MutexLock lock(mutex_);
-    jitAdmission_ = sim.jit;
-    jitSim_ = sim;
-    jitMaxBatchLanes_ = std::max<std::size_t>(1, max_batch_lanes);
-}
-
-void
-DesignStore::admitJit(const core::TiledDesign &design)
-{
-    core::SimOptions sim;
-    std::size_t max_batch_lanes = 0;
-    {
-        MutexLock lock(mutex_);
-        if (!jitAdmission_)
-            return;
-        sim = jitSim_;
-        max_batch_lanes = jitMaxBatchLanes_;
-    }
-
-    // The serving hot paths per tile: W = 1 (TiledGemv sequences,
-    // small groups) and whatever W the engine resolves for a full
-    // group.  Groups in between fall back to the interpreted tape,
-    // which the engine's interpFallbackGroups counter makes visible.
-    std::size_t attached = 0;
-    std::size_t wanted = 0;
-    for (std::size_t i = 0; i < design.tileCount(); ++i) {
-        const core::CompiledMatrix &tile = design.tile(i);
-        std::vector<unsigned> lane_words{1};
-        const unsigned wide =
-            core::resolvedLaneWords(tile, sim, max_batch_lanes);
-        if (wide != 1)
-            lane_words.push_back(wide);
-        wanted += lane_words.size();
-        for (const unsigned w : lane_words)
-            if (tile.ensureJit(sim, w) != nullptr)
-                ++attached;
-    }
-    if (attached == wanted)
-        jitAdmitted_.fetch_add(1, std::memory_order_relaxed);
-    else
-        jitFailed_.fetch_add(1, std::memory_order_relaxed);
-    jitCompileMicros_.fetch_add(
-        static_cast<std::uint64_t>(design.jitCompileSeconds() * 1e6),
-        std::memory_order_relaxed);
 }
 
 std::shared_ptr<const core::TiledDesign>
@@ -255,10 +204,6 @@ DesignStore::get(const experiments::DesignKey &key,
                         report.diagnostics.front().str());
 #endif
             }
-            // JIT admission happens before the future resolves, so
-            // waiters blocked on this entry also cover the native
-            // compile: one admission per design, storm or not.
-            admitJit(*design);
             promise.set_value(std::move(design));
         } catch (...) {
             promise.set_exception(std::current_exception());
@@ -292,12 +237,6 @@ DesignStore::stats() const
     stats.loadSeconds =
         static_cast<double>(
             loadMicros_.load(std::memory_order_relaxed)) /
-        1e6;
-    stats.jitAdmitted = jitAdmitted_.load(std::memory_order_relaxed);
-    stats.jitFailed = jitFailed_.load(std::memory_order_relaxed);
-    stats.jitCompileSeconds =
-        static_cast<double>(
-            jitCompileMicros_.load(std::memory_order_relaxed)) /
         1e6;
     stats.faultsInjected =
         faultsInjected_.load(std::memory_order_relaxed);

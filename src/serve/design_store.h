@@ -117,22 +117,6 @@ class DesignStore
         /** Wall-clock seconds spent loading cold designs. */
         double loadSeconds = 0.0;
 
-        /** Designs that left admission with a JIT module attached. */
-        std::size_t jitAdmitted = 0;
-
-        /**
-         * Designs whose JIT admission produced no module (toolchain
-         * missing or compile failed); they serve on the interpreted
-         * tape.
-         */
-        std::size_t jitFailed = 0;
-
-        /**
-         * Total wall-clock seconds spent in admission-time JIT
-         * compiles (generation + out-of-process cc), across designs.
-         */
-        double jitCompileSeconds = 0.0;
-
         /**
          * Injected admission faults absorbed (compile failures ridden
          * out by the bounded retry, plus injected latency spikes);
@@ -165,21 +149,6 @@ class DesignStore
     std::shared_ptr<const core::TiledDesign>
     get(const experiments::DesignKey &key, const IntMatrix &weights,
         const core::CompileOptions &options);
-
-    /**
-     * Enable admission-time JIT compilation: every design materialized
-     * after this call also gets native modules (CompiledMatrix::
-     * ensureJit per tile) for `sim`'s execution mode at W = 1 plus the
-     * widest lane-word count the engine resolves for a full batch of
-     * `max_batch_lanes` vectors — the sequential-executor and
-     * full-group hot paths.  Promotions re-admit (JIT attachments are
-     * not serialized).  The JIT compile rides the store's in-flight
-     * dedup, so an admission storm never compiles a design's modules
-     * twice.  Admission failures are counted, not raised: the design
-     * serves on the interpreted tape.
-     */
-    void setJitAdmission(const core::SimOptions &sim,
-                         std::size_t max_batch_lanes);
 
     /** Current accounting (counters are lock-free reads). */
     Stats stats() const;
@@ -220,16 +189,9 @@ class DesignStore
     void demote(std::vector<Demotion> demotions)
         SPATIAL_EXCLUDES(mutex_);
 
-    /** Admission-time JIT compile for a materialized design. */
-    void admitJit(const core::TiledDesign &design)
-        SPATIAL_EXCLUDES(mutex_);
-
     StoreOptions options_;
     std::unique_ptr<store::ColdTier> cold_; //!< null when disabled
     mutable Mutex mutex_;
-    bool jitAdmission_ SPATIAL_GUARDED_BY(mutex_) = false;
-    core::SimOptions jitSim_ SPATIAL_GUARDED_BY(mutex_);
-    std::size_t jitMaxBatchLanes_ SPATIAL_GUARDED_BY(mutex_) = 0;
     std::unordered_map<experiments::DesignKey, Entry,
                        experiments::DesignKeyHash>
         entries_ SPATIAL_GUARDED_BY(mutex_);
@@ -244,9 +206,6 @@ class DesignStore
     /** Microseconds, so the counters stay lock-free integers. */
     std::atomic<std::uint64_t> compileMicros_{0};
     std::atomic<std::uint64_t> loadMicros_{0};
-    std::atomic<std::size_t> jitAdmitted_{0};
-    std::atomic<std::size_t> jitFailed_{0};
-    std::atomic<std::uint64_t> jitCompileMicros_{0};
     std::atomic<std::uint64_t> faultsInjected_{0};
 };
 

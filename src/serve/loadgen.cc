@@ -707,8 +707,6 @@ LoadGenResult::toJson(const LoadGenOptions &options) const
         << (options.serve.sim.activityGating ? "true" : "false") << ",\n";
     out << "  \"segment_kib\": " << options.serve.sim.segmentKib
         << ",\n";
-    out << "  \"jit\": " << (options.serve.sim.jit ? "true" : "false")
-        << ",\n";
     out << "  \"seed\": " << options.seed << ",\n";
     out << "  \"qps_target\": " << jsonReal(options.qps) << ",\n";
     out << "  \"completed\": " << completed << ",\n";
@@ -755,13 +753,6 @@ LoadGenResult::toJson(const LoadGenOptions &options) const
         << jsonReal(stats.store.compileSeconds) << ",\n";
     out << "  \"store_load_seconds\": "
         << jsonReal(stats.store.loadSeconds) << ",\n";
-    out << "  \"jit_admitted\": " << stats.store.jitAdmitted << ",\n";
-    out << "  \"jit_failed\": " << stats.store.jitFailed << ",\n";
-    out << "  \"jit_admit_seconds\": "
-        << jsonReal(stats.store.jitCompileSeconds) << ",\n";
-    out << "  \"jit_groups\": " << stats.jitGroups << ",\n";
-    out << "  \"jit_fallback_groups\": " << stats.jitFallbackGroups
-        << ",\n";
     // Remote runs carry the server's own per-shard view: occupancy and
     // shed counts per engine pool, fetched over the wire at run end.
     out << "  \"shards\": [";

@@ -17,11 +17,6 @@ Server::Server(ServeOptions options)
                           options.tile})
 {
     options_.maxBatch = std::max<std::size_t>(1, options_.maxBatch);
-    // Group execution forces threads = 1 (see executeGroup), so the
-    // admission W must be resolved the same way.
-    core::SimOptions admit_sim = options_.sim;
-    admit_sim.threads = 1;
-    store_.setJitAdmission(admit_sim, options_.maxBatch);
     unsigned workers = options_.workers != 0
                            ? options_.workers
                            : std::thread::hardware_concurrency();
@@ -431,8 +426,6 @@ Server::executeGroup(const core::TiledDesign &design, Group group)
         stats_.enginePasses += passes;
         stats_.segmentsExecuted += engine_stats.segmentsExecuted;
         stats_.segmentsSkipped += engine_stats.segmentsSkipped;
-        stats_.jitGroups += engine_stats.jitGroups;
-        stats_.jitFallbackGroups += engine_stats.interpFallbackGroups;
     }
 
     const auto done = Clock::now();
@@ -501,8 +494,6 @@ Server::executeSequence(const core::TiledDesign &design, Group group)
         stats_.sequenceSteps += steps;
         stats_.segmentsExecuted += seq_stats.segmentsExecuted;
         stats_.segmentsSkipped += seq_stats.segmentsSkipped;
-        stats_.jitGroups += seq_stats.jitGroups;
-        stats_.jitFallbackGroups += seq_stats.interpFallbackGroups;
     }
 
     Response resp;

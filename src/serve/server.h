@@ -121,8 +121,6 @@ struct ServerStats
                                    //!< (group lanes / adaptive 64*W)
     std::uint64_t segmentsExecuted = 0; //!< activity-gated tape segments run
     std::uint64_t segmentsSkipped = 0;  //!< segments skipped as quiescent
-    std::uint64_t jitGroups = 0;     //!< groups run through JIT modules
-    std::uint64_t jitFallbackGroups = 0; //!< JIT requested, interpreter ran
     std::size_t sequences = 0;     //!< EsnSequence jobs executed
     std::size_t sequenceSteps = 0; //!< total sequential ESN steps
     std::size_t watchdogShed = 0;  //!< requests shed by the watchdog

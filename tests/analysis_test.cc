@@ -5,9 +5,9 @@
  * mutation-based negative tests — snapshot a correct artifact into
  * its *View, corrupt exactly one invariant, and assert the verifier
  * names the exact rule — spanning every layer: netlist, plan,
- * segmentation, tile partition, generated JIT source, and the .sptd
- * container.  Plus a DesignStore concurrency regression for the
- * thread-safety-annotated admission path.
+ * segmentation, tile partition, and the .sptd container.  Plus a
+ * DesignStore concurrency regression for the thread-safety-annotated
+ * admission path.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 #include <unistd.h>
 
 #include "analysis/verifier.h"
-#include "circuit/jit.h"
 #include "experiments/design_cache.h"
 #include "experiments/workload.h"
 #include "serve/design_store.h"
@@ -476,109 +475,6 @@ TEST(AnalysisTileTest, GapAndBudgetViolations)
         Verifier().checkTiles(v, &report);
         expectRule(report, "TILE-SHAPE");
     }
-}
-
-// ---------------------------------------------------------------------
-// JIT source mutations (pure text against an unchanged expectation)
-// ---------------------------------------------------------------------
-
-class AnalysisJitTest : public ::testing::Test
-{
-  protected:
-    void SetUp() override
-    {
-        artifacts_ = std::make_unique<Artifacts>(makeArtifacts());
-        spec_.laneWords = {1, 4};
-        source_ = circuit::jit::generateJitSource(
-            artifacts_->design.tile(0).plan(), spec_);
-        ASSERT_FALSE(source_.empty());
-    }
-
-    Report verify(const std::string &source) const
-    {
-        return verifyJitSource(artifacts_->design.tile(0).plan(),
-                               spec_, source);
-    }
-
-    std::unique_ptr<Artifacts> artifacts_;
-    circuit::jit::JitSpec spec_;
-    std::string source_;
-};
-
-TEST_F(AnalysisJitTest, PristineSourcePasses)
-{
-    EXPECT_TRUE(verify(source_).diagnostics.empty())
-        << verify(source_).str();
-    // The gated flavor passes too.
-    circuit::jit::JitSpec gated = spec_;
-    gated.segmentation =
-        artifacts_->design.tile(0).plan().segmentation(64);
-    const std::string gatedSource = circuit::jit::generateJitSource(
-        artifacts_->design.tile(0).plan(), gated);
-    const Report report = verifyJitSource(
-        artifacts_->design.tile(0).plan(), gated, gatedSource);
-    EXPECT_TRUE(report.diagnostics.empty()) << report.str();
-    // And a plan with a comb tape, so the settle-statement (SN/SA)
-    // audit runs against real emitted text.
-    const Synthetic s = makeSynthetic();
-    const std::string combSource =
-        circuit::jit::generateJitSource(*s.plan, spec_);
-    const Report combReport = verifyJitSource(*s.plan, spec_, combSource);
-    EXPECT_TRUE(combReport.diagnostics.empty()) << combReport.str();
-}
-
-TEST_F(AnalysisJitTest, BitFlippedDescriptorVersionIsCaught)
-{
-    std::string mutated = source_;
-    const std::size_t at =
-        mutated.find("spatial_jit_desc_v3 = { 3,");
-    ASSERT_NE(at, std::string::npos);
-    mutated[at + std::string("spatial_jit_desc_v3 = { ").size()] = '7';
-    expectRule(verify(mutated), "JIT-DESC-VERSION");
-}
-
-TEST_F(AnalysisJitTest, DroppedStatementBreaksTheCount)
-{
-    // Register-only designs emit no settle statements; drop a plain
-    // commit statement ("RA(", which cannot match "RAT(" lines).
-    const std::size_t at = source_.find("\nRA(");
-    ASSERT_NE(at, std::string::npos);
-    std::string mutated = source_;
-    mutated.erase(at + 1, mutated.find('\n', at + 1) - at);
-    expectRule(verify(mutated), "JIT-STMT-COUNT");
-}
-
-TEST_F(AnalysisJitTest, CorruptedOffsetBreaksStatementForm)
-{
-    // Flip the first commit statement's destination offset digit.
-    const std::size_t at = source_.find("\nRA(");
-    ASSERT_NE(at, std::string::npos);
-    std::string mutated = source_;
-    const char digit = mutated[at + 4];
-    mutated[at + 4] = digit == '9' ? '8' : static_cast<char>(digit + 1);
-    expectRule(verify(mutated), "JIT-STMT-FORM");
-}
-
-TEST_F(AnalysisJitTest, MissingTableRowIsCaught)
-{
-    std::string mutated = source_;
-    const std::size_t tables =
-        mutated.find("static const spatial_jit_table spatial_tables");
-    ASSERT_NE(tables, std::string::npos);
-    const std::size_t row = mutated.find("\n{ ", tables);
-    ASSERT_NE(row, std::string::npos);
-    mutated.erase(row + 1, mutated.find('\n', row + 1) - row);
-    expectRule(verify(mutated), "JIT-TABLE-COUNT");
-}
-
-TEST_F(AnalysisJitTest, LaneWordSectionMismatchIsCaught)
-{
-    // Ask the verifier for a W the source was not generated with.
-    circuit::jit::JitSpec narrow = spec_;
-    narrow.laneWords = {1};
-    const Report report = verifyJitSource(
-        artifacts_->design.tile(0).plan(), narrow, source_);
-    expectRule(report, "JIT-SECTION");
 }
 
 // ---------------------------------------------------------------------

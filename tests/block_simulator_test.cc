@@ -6,8 +6,8 @@
  * every lane width, across sign modes, signed/unsigned inputs,
  * unaligned (including negative-latency) output columns, and batch
  * sizes that do not divide the lane count.  Every check runs once per
- * SIMD kernel the running CPU supports (scalar plus AVX2/AVX-512/NEON
- * where present), so each dispatch target of circuit::kernels is
+ * SIMD kernel the running CPU supports (scalar plus AVX2/NEON where
+ * present), so each dispatch target of circuit::kernels is
  * proved bit-identical to WideSimulator, not just the one the process
  * would auto-select.  This is the proof that multiplyBatchWide's
  * rewrite onto the engine is a pure speedup.
@@ -367,32 +367,25 @@ TEST(Kernels, RegistryAlwaysEndsWithScalar)
 
 TEST(Kernels, DispatchPreferenceOrderIsPinned)
 {
-    // The default dispatch deliberately prefers AVX2 over AVX-512 (the
-    // wider kernel measures slower on the Skylake-era servers we
-    // benchmark), scalar is always the final fallback, and the
-    // process-wide active kernel is the first supported entry unless
-    // SPATIAL_KERNEL pins another one.  A stale bench artifact once
-    // recorded an avx512 engine row from a machine whose preferred
-    // kernel is avx2; this pins the order so dispatch regressions (or
-    // silently pinned artifacts) fail loudly.
+    // The registry holds only scalar, avx2 and neon: AVX2 (or NEON)
+    // leads the default dispatch, scalar is always the final fallback,
+    // and the process-wide active kernel is the first supported entry
+    // unless SPATIAL_KERNEL pins another one.  Pinning the order makes
+    // dispatch regressions (or silently pinned artifacts) fail loudly.
     const auto &kernels = circuit::kernels::supportedKernels();
     ASSERT_FALSE(kernels.empty());
     EXPECT_STREQ(kernels.back()->name, "scalar");
 
     int avx2_at = -1;
-    int avx512_at = -1;
     int neon_at = -1;
     for (std::size_t i = 0; i < kernels.size(); ++i) {
-        if (std::string("avx2") == kernels[i]->name)
+        const std::string name = kernels[i]->name;
+        EXPECT_TRUE(name == "scalar" || name == "avx2" || name == "neon")
+            << "unexpected kernel " << name;
+        if (name == "avx2")
             avx2_at = static_cast<int>(i);
-        else if (std::string("avx512") == kernels[i]->name)
-            avx512_at = static_cast<int>(i);
-        else if (std::string("neon") == kernels[i]->name)
+        else if (name == "neon")
             neon_at = static_cast<int>(i);
-    }
-    if (avx2_at >= 0 && avx512_at >= 0) {
-        EXPECT_LT(avx2_at, avx512_at)
-            << "avx2 must outrank avx512 in the default dispatch";
     }
     if (avx2_at >= 0) {
         EXPECT_EQ(avx2_at, 0) << "avx2, when supported, is preferred";

@@ -11,7 +11,6 @@
 #include <atomic>
 #include <thread>
 
-#include "circuit/jit.h"
 #include "common/fault.h"
 #include "core/batch_engine.h"
 #include "core/compiler.h"
@@ -761,69 +760,6 @@ TEST(Server, ReregisteringIdenticalDesignReturnsSameId)
     const DesignId c = server.registerDesign(weights, other);
     EXPECT_NE(a, c);
     EXPECT_EQ(server.designCount(), 2u);
-}
-
-// ---------------------------------------------------------------------
-// JIT serving: admission at registration, bit-exact responses, stats
-// ---------------------------------------------------------------------
-
-TEST(Server, JitServingBitExactWithAdmissionStats)
-{
-    if (!circuit::jit::toolchainAvailable())
-        GTEST_SKIP() << "no C toolchain reachable";
-    const std::size_t dim = 24;
-    const auto weights = testWeights(dim, 77);
-    const auto compile = testCompileOptions();
-
-    ServeOptions options;
-    options.maxBatch = 64;
-    options.workers = 2;
-    options.sim.jit = true;
-    Server server(options);
-    const DesignId id = server.registerDesign(weights, compile);
-
-    // Registration is admission: the design left the store with
-    // modules attached and the compile latency accounted.
-    {
-        const auto stats = server.stats();
-        EXPECT_EQ(stats.store.jitAdmitted, 1u);
-        EXPECT_EQ(stats.store.jitFailed, 0u);
-        EXPECT_GT(stats.store.jitCompileSeconds, 0.0);
-    }
-    EXPECT_GE(server.design(id)->jitModuleCount(), 1u);
-
-    const std::size_t requests = 70; // > one group, odd padding
-    IntMatrix all(requests, dim);
-    Rng fill(78);
-    for (std::size_t b = 0; b < requests; ++b) {
-        const auto v = makeSignedVector(dim, 8, fill);
-        for (std::size_t r = 0; r < dim; ++r)
-            all.at(b, r) = v[r];
-    }
-    const IntMatrix expected = server.design(id)->multiplyBatch(all);
-
-    std::vector<std::future<Response>> futures;
-    for (std::size_t b = 0; b < requests; ++b) {
-        std::vector<std::int64_t> x(dim);
-        for (std::size_t r = 0; r < dim; ++r)
-            x[r] = all.at(b, r);
-        futures.push_back(server.submit(id, Request::gemv(std::move(x))));
-    }
-    server.drain();
-
-    for (std::size_t b = 0; b < requests; ++b) {
-        const auto resp = futures[b].get();
-        for (std::size_t c = 0; c < dim; ++c)
-            ASSERT_EQ(resp.output.at(0, c), expected.at(b, c))
-                << "request " << b << " col " << c;
-    }
-
-    // Every executed group must have hit a module: admission covered
-    // W = 1 and the full-group W, and this workload resolves within
-    // that set.
-    const auto stats = server.stats();
-    EXPECT_GT(stats.jitGroups, 0u);
-    EXPECT_EQ(stats.jitFallbackGroups, 0u);
 }
 
 // ---------------------------------------------------------------------
