@@ -16,11 +16,12 @@
  * per-kernel GEMV/s; --check_kernel_speedup gates the avx2-vs-scalar
  * ratio for CI smoke runs (skipped on machines without AVX2).
  *
- * The gating section measures what segmented, activity-gated execution
- * buys: a controlled ablation that toggles only the gating knob at the
- * gated mode's resolved (kernel, W, threads) configuration, verified
- * bit-exact against the interpreter baseline AND toggle-exact against
- * WideSimulator before timing.  --check_gated_speedup gates the ratio.
+ * The gating section measures what activity gating buys: a controlled
+ * ablation that runs the same Segmentation gated and forced-dense
+ * (every cycle on the dense sweeps) at the gated mode's resolved
+ * (kernel, W, threads) configuration, verified bit-exact against the
+ * interpreter baseline AND toggle-exact against WideSimulator before
+ * timing.  --check_gated_speedup gates the ratio.
  *
  * --check_baseline compares the run against a committed baseline JSON
  * (bench/sim_throughput_baseline.json): the default-path tape_ms may
@@ -30,7 +31,6 @@
  *
  *   sim_throughput [--dim=256] [--batch=1024] [--bits=8]
  *                  [--sparsity=0.9] [--threads=0] [--lane-words=0]
- *                  [--activity_gating=1] [--segment_kib=4]
  *                  [--repeats=3] [--json[=path]]
  *                  [--check_kernel_speedup=1.5]
  *                  [--check_gated_speedup=1.3]
@@ -100,11 +100,9 @@ gatedTogglesMatchWideSimulator(const core::CompiledMatrix &design,
                                bool &exact, bool &skipped)
 {
     const auto &plan = design.plan();
-    const auto segmentation =
-        plan.segmentation(circuit::Segmentation::opsForBudget(
-            options.segmentKib, W));
     circuit::BlockSimulator<W, true> gated(
-        plan, &core::resolvedKernel(options), segmentation);
+        plan, plan.segmentation(circuit::Segmentation::opsForBudget(W)),
+        &core::resolvedKernel(options));
     std::vector<circuit::WideSimulator> wides(
         W, circuit::WideSimulator(design.netlist()));
 
@@ -160,9 +158,6 @@ main(int argc, char **argv)
         static_cast<unsigned>(args.getInt("threads", 0));
     sim_options.laneWords =
         static_cast<unsigned>(args.getInt("lane-words", 0));
-    sim_options.activityGating = args.getBool("activity_gating", true);
-    sim_options.segmentKib = static_cast<unsigned>(
-        args.getInt("segment_kib", sim_options.segmentKib));
 
     Rng rng(99);
     const auto weights =
@@ -221,9 +216,8 @@ main(int argc, char **argv)
     const double tape_rate = node_evals / tape_s;
     const double speedup = legacy_s / tape_s;
     const unsigned lane_words =
-        core::resolvedLaneWords(design, sim_options, batch_rows);
-    const unsigned threads =
-        core::resolvedThreads(design, sim_options, batch_rows);
+        core::resolvedLaneWords(sim_options, batch_rows);
+    const unsigned threads = core::resolvedThreads(sim_options, batch_rows);
     const char *active = core::resolvedKernel(sim_options).name;
     // An inherited SPATIAL_KERNEL silently pins every dispatch in this
     // process; record it so a pinned artifact can never masquerade as
@@ -239,23 +233,20 @@ main(int argc, char **argv)
                 "node-evals/s\n",
                 legacy_s * 1e3, legacy_rate);
     std::printf("tape engine (%3u lanes x %u thr): %8.1f ms, %10.3g "
-                "node-evals/s  [kernel %s, gating %s]\n",
-                64 * lane_words, threads, tape_s * 1e3, tape_rate, active,
-                sim_options.activityGating ? "on" : "off");
+                "node-evals/s  [kernel %s]\n",
+                64 * lane_words, threads, tape_s * 1e3, tape_rate, active);
     std::printf("speedup: %.2fx (bit-exact)\n", speedup);
 
     // ------------------------------------------------------------------
     // Activity gating: a controlled ablation toggling only the gating
-    // knob at the gated mode's resolved configuration (same kernel,
-    // same lane words, same threads), after proving the gated engine
-    // bit-exact AND toggle-exact.
+    // knob (gated vs forced-dense) at the gated mode's resolved
+    // configuration (same kernel, same lane words, same threads), after
+    // proving the gated engine bit-exact AND toggle-exact.
     // ------------------------------------------------------------------
     core::SimOptions gated_options = sim_options;
-    gated_options.activityGating = true;
-    gated_options.laneWords =
-        core::resolvedLaneWords(design, gated_options, batch_rows);
-    core::SimOptions ungated_options = gated_options;
-    ungated_options.activityGating = false;
+    gated_options.laneWords = lane_words;
+    core::SimOptions dense_options = gated_options;
+    dense_options.activityGating = false;
 
     bool toggles_exact = false;
     bool drain_skipped = false;
@@ -270,7 +261,7 @@ main(int argc, char **argv)
         core::runBatchWide(design, batch, gated_options, &gate_stats);
     const bool gating_exact =
         gated_out == legacy_out &&
-        design.multiplyBatchWide(batch, ungated_options) == legacy_out;
+        design.multiplyBatchWide(batch, dense_options) == legacy_out;
     if (!gating_exact || !toggles_exact) {
         std::printf("ERROR: activity gating is not exact (outputs %s, "
                     "toggles %s); refusing to report timings\n",
@@ -283,15 +274,15 @@ main(int argc, char **argv)
     // interleaving would make each run start with the other's 5 MB
     // working set resident in the 2 MB-class L2 and measure eviction,
     // not execution.  The blocks alternate across several rounds, each
-    // round yields its own best-gated / best-ungated ratio, and the
+    // round yields its own best-gated / best-dense ratio, and the
     // gate checks the *median* round ratio: a multi-second load window
     // on a shared runner distorts the round it lands in, and the
     // median discards it, where a global best-of-each-side can pair a
-    // loaded window's gated time with a quiet window's ungated time.
+    // loaded window's gated time with a quiet window's dense time.
     struct GatingRound
     {
         double gated;
-        double ungated;
+        double dense;
     };
     std::vector<GatingRound> gating_rounds;
     const int rounds = 7;
@@ -305,22 +296,22 @@ main(int argc, char **argv)
         }
         for (int i = 0; i < per_round; ++i) {
             const auto start = Clock::now();
-            (void)design.multiplyBatchWide(batch, ungated_options);
-            r.ungated = std::min(r.ungated, secondsSince(start));
+            (void)design.multiplyBatchWide(batch, dense_options);
+            r.dense = std::min(r.dense, secondsSince(start));
         }
         gating_rounds.push_back(r);
     }
     // Report the median round wholesale — its times and their ratio —
-    // so the artifact's gated_ms / ungated_ms always reproduce
+    // so the artifact's gated_ms / dense_ms always reproduce
     // gated_speedup exactly.
     std::sort(gating_rounds.begin(), gating_rounds.end(),
               [](const GatingRound &a, const GatingRound &b) {
-                  return a.ungated / a.gated < b.ungated / b.gated;
+                  return a.dense / a.gated < b.dense / b.gated;
               });
     const GatingRound &median = gating_rounds[gating_rounds.size() / 2];
     const double gated_s = median.gated;
-    const double ungated_s = median.ungated;
-    const double gated_speedup = ungated_s / gated_s;
+    const double dense_s = median.dense;
+    const double gated_speedup = dense_s / gated_s;
     const double seg_total = static_cast<double>(
         gate_stats.segmentsExecuted + gate_stats.segmentsSkipped);
     const double skip_fraction =
@@ -328,25 +319,27 @@ main(int argc, char **argv)
             ? static_cast<double>(gate_stats.segmentsSkipped) / seg_total
             : 0.0;
     std::printf("gating (kernel %s, %u lanes, %u thr): gated %8.1f ms, "
-                "ungated %8.1f ms -> %.2fx, %.0f%% of segment-cycles "
+                "dense %8.1f ms -> %.2fx, %.0f%% of segment-cycles "
                 "skipped (outputs and toggles exact)\n",
                 core::resolvedKernel(gated_options).name,
                 64 * gated_options.laneWords, threads, gated_s * 1e3,
-                ungated_s * 1e3, gated_speedup, skip_fraction * 100.0);
+                dense_s * 1e3, gated_speedup, skip_fraction * 100.0);
 
     // Per-kernel comparison: every dispatch target supported by this
     // CPU, each verified bit-exact against the interpreter baseline
-    // before timing.  Each timing round visits the kernels in
-    // ascending vector width (scalar, neon, avx2), and the rounds
+    // before timing.  Each timing round visits the kernels in reverse
+    // dispatch preference (scalar, then neon or avx2), and the rounds
     // repeat with every kernel's samples spread across the whole
     // section: the vs-scalar ratios are CI-gated, and on shared runners
     // a sustained load window that lands on one kernel's only block
     // flips the gate even when best-of discards transient spikes.
     // Single-threaded unless --threads is given, so the ratio measures
     // kernel code rather than how the group scheduler shares the box.
-    // The ungated engine-default row (PR 4's configuration) is what
-    // speedup_vs_scalar compares, keeping the trajectory comparable
-    // across PRs; each row also times its gated mode-resolved config.
+    // The forced-dense row is what speedup_vs_scalar compares: it is
+    // the full per-cycle sweep, so the ratio measures kernel code
+    // rather than how much work gating skips.  It runs at W=4 unless
+    // --lane-words is given — a full 256-lane serving group.  Each row
+    // also times its gated mode-resolved config.
     struct KernelRow
     {
         const char *name;
@@ -359,27 +352,25 @@ main(int argc, char **argv)
     };
     std::vector<KernelRow> rows;
     auto kernels = circuit::kernels::supportedKernels();
-    std::sort(kernels.begin(), kernels.end(),
-              [](const auto *a, const auto *b) {
-                  return a->vectorWords < b->vectorWords;
-              });
-    std::vector<core::SimOptions> kernel_ungated;
+    std::reverse(kernels.begin(), kernels.end());
+    std::vector<core::SimOptions> kernel_dense;
     std::vector<core::SimOptions> kernel_gated;
     for (const auto *kernel : kernels) {
-        core::SimOptions k_ungated = sim_options;
-        k_ungated.kernel = kernel;
-        k_ungated.activityGating = false;
-        if (k_ungated.threads == 0)
-            k_ungated.threads = 1;
-        core::SimOptions k_gated = k_ungated;
-        k_gated.activityGating = true;
-        if (!(legacy_out == design.multiplyBatchWide(batch, k_ungated)) ||
+        core::SimOptions k_gated = sim_options;
+        k_gated.kernel = kernel;
+        if (k_gated.threads == 0)
+            k_gated.threads = 1;
+        core::SimOptions k_dense = k_gated;
+        k_dense.activityGating = false;
+        if (k_dense.laneWords == 0)
+            k_dense.laneWords = 4;
+        if (!(legacy_out == design.multiplyBatchWide(batch, k_dense)) ||
             !(legacy_out == design.multiplyBatchWide(batch, k_gated))) {
             std::printf("ERROR: kernel %s disagrees with the seed path\n",
                         kernel->name);
             return 1;
         }
-        kernel_ungated.push_back(k_ungated);
+        kernel_dense.push_back(k_dense);
         kernel_gated.push_back(k_gated);
     }
     // Warm back-to-back blocks per (kernel, gating) pair — a lone
@@ -395,7 +386,7 @@ main(int argc, char **argv)
         for (std::size_t i = 0; i < kernels.size(); ++i) {
             for (int j = 0; j < kernel_block; ++j) {
                 const auto start = Clock::now();
-                (void)design.multiplyBatchWide(batch, kernel_ungated[i]);
+                (void)design.multiplyBatchWide(batch, kernel_dense[i]);
                 kernel_s[i] = std::min(kernel_s[i], secondsSince(start));
             }
             for (int j = 0; j < kernel_block; ++j) {
@@ -413,11 +404,9 @@ main(int argc, char **argv)
         if (std::string("scalar") == kernels[i]->name)
             scalar_s = seconds;
         rows.push_back(
-            {kernels[i]->name,
-             core::resolvedLaneWords(design, kernel_ungated[i],
-                                     batch_rows),
-             seconds, scalar_s > 0.0 ? scalar_s / seconds : 0.0,
-             core::resolvedLaneWords(design, kernel_gated[i], batch_rows),
+            {kernels[i]->name, kernel_dense[i].laneWords, seconds,
+             scalar_s > 0.0 ? scalar_s / seconds : 0.0,
+             core::resolvedLaneWords(kernel_gated[i], batch_rows),
              gated_seconds, seconds / gated_seconds});
         std::printf("kernel %-7s (%3u lanes): %8.1f ms, %10.3g "
                     "node-evals/s, %8.1f gemv/s, %.2fx vs scalar; "
@@ -446,9 +435,7 @@ main(int argc, char **argv)
              << "\", \"kernel_pinned\": "
              << (kernel_pinned ? "true" : "false")
              << ", \"lane_words\": " << lane_words
-             << ", \"threads\": " << threads << ", \"activity_gating\": "
-             << (sim_options.activityGating ? "true" : "false")
-             << ", \"segment_kib\": " << sim_options.segmentKib << "},\n";
+             << ", \"threads\": " << threads << "},\n";
         json << "  \"legacy_ms\": " << legacy_s * 1e3 << ",\n";
         json << "  \"tape_ms\": " << tape_s * 1e3 << ",\n";
         json << "  \"legacy_node_evals_per_sec\": " << legacy_rate
@@ -456,7 +443,7 @@ main(int argc, char **argv)
         json << "  \"tape_node_evals_per_sec\": " << tape_rate << ",\n";
         json << "  \"speedup\": " << speedup << ",\n";
         json << "  \"gating\": {\"gated_ms\": " << gated_s * 1e3
-             << ", \"ungated_ms\": " << ungated_s * 1e3
+             << ", \"dense_ms\": " << dense_s * 1e3
              << ", \"gated_speedup\": " << gated_speedup
              << ", \"lane_words\": " << gated_options.laneWords
              << ", \"segments_executed\": " << gate_stats.segmentsExecuted
@@ -512,7 +499,7 @@ main(int argc, char **argv)
         }
     }
 
-    // CI gate on the controlled gated-vs-ungated ablation.
+    // CI gate on the controlled gated-vs-dense ablation.
     if (args.has("check_gated_speedup")) {
         const double floor = args.getReal("check_gated_speedup", 1.3);
         if (gated_speedup < floor) {

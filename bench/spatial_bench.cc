@@ -56,8 +56,6 @@ usage()
         "  --threads=N          sweep worker threads (0 = hardware)\n"
         "  --sim-threads=N      batch-engine threads inside a point\n"
         "  --lane-words=W       batch-engine lane words (0 = auto)\n"
-        "  --activity-gating=B  segmented activity gating (default 1)\n"
-        "  --segment-kib=K      gated segment working-set target\n"
         "  --seed=N             workload-stream seed override (0 =\n"
         "                       each experiment's built-in stream)\n"
         "  --check_load_speedup=R  exit 1 unless every row with\n"
@@ -152,10 +150,9 @@ runRun(const Args &args)
 {
     const auto &registry = Registry::instance();
     const std::set<std::string> reserved = {
-        "all",  "json",          "csv",         "threads",
-        "sim-threads", "lane-words", "activity-gating", "segment-kib",
-        "seed", "quiet", "check_load_speedup",
-        "check_load_dim"};
+        "all",  "json",  "csv",         "threads",
+        "sim-threads", "lane-words", "seed",
+        "quiet", "check_load_speedup", "check_load_dim"};
 
     // Which experiments.
     const bool allSelected = args.getBool("all", false);
@@ -213,9 +210,6 @@ runRun(const Args &args)
         static_cast<unsigned>(args.getInt("sim-threads", 0));
     options.sim.laneWords =
         static_cast<unsigned>(args.getInt("lane-words", 0));
-    options.sim.activityGating = args.getBool("activity-gating", true);
-    options.sim.segmentKib = static_cast<unsigned>(
-        args.getInt("segment-kib", options.sim.segmentKib));
     options.seed = static_cast<std::uint64_t>(args.getInt("seed", 0));
 
     const bool quiet = args.getBool("quiet", false);

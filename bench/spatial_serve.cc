@@ -13,7 +13,6 @@
  *   spatial-serve --mode=closed --clients=128 --duration=2
  *   spatial-serve --designs=4 --batch_frac=0.2 --esn_frac=0.1
  *   spatial-serve --mode=drain --compare --check_speedup=3 --json
- *   spatial-serve --activity_gating=0 --segment_kib=8
  *   spatial-serve --spill_dir=/tmp/spill --store_capacity=2
  *   spatial-serve --dim=4096 --tile_budget=262144  # column tiling
  *
@@ -194,10 +193,6 @@ main(int argc, char **argv)
                         options.serve.tile.onesBudget)));
     options.serve.sim.laneWords =
         static_cast<unsigned>(args.getInt("lane-words", 0));
-    options.serve.sim.activityGating =
-        args.getBool("activity_gating", true);
-    options.serve.sim.segmentKib = static_cast<unsigned>(
-        args.getInt("segment_kib", options.serve.sim.segmentKib));
     // Queue-age watchdog: sheds batched work older than the bound and
     // flags workers stuck past the slow-worker threshold.
     options.serve.maxQueueAge = std::chrono::milliseconds(
@@ -277,10 +272,9 @@ main(int argc, char **argv)
             result.stats.flushFull, result.stats.flushDeadline,
             result.stats.flushDrain, result.stats.sequences);
         std::printf(
-            "engine: %u workers, %zu passes, activity gating %s "
-            "(%llu/%llu segments skipped)\n",
+            "engine: %u workers, %zu passes, %llu/%llu segments "
+            "skipped\n",
             result.workersResolved, result.stats.enginePasses,
-            options.serve.sim.activityGating ? "on" : "off",
             static_cast<unsigned long long>(
                 result.stats.segmentsSkipped),
             static_cast<unsigned long long>(

@@ -362,15 +362,9 @@ Verifier::checkPlan(const PlanView &plan, const NetlistView *netlist,
         writeSlot(op.dst, i);
         readSlot(op.a, i);
         readSlot(op.b, i);
-        if (i > 0 && plan.regs[i - 1].dst <= op.dst)
+        if (i > 0 && plan.regs[i - 1].dst >= op.dst)
             bad("PLAN-COMMIT-ORDER",
-                "commit tape dst not strictly descending", i);
-        for (const NodeId src : {op.a, op.b})
-            if (src < numNodes && src >= op.dst)
-                bad("PLAN-REG-HAZARD",
-                    "in-place commit would overwrite slot " +
-                        nodeStr(src) + " before op reads it",
-                    i);
+                "commit tape dst not strictly ascending", i);
     }
 
     for (std::size_t i = 0; i < plan.inputs.size(); ++i) {
@@ -400,10 +394,12 @@ Verifier::checkPlan(const PlanView &plan, const NetlistView *netlist,
                 std::to_string(netlist->kinds.size()));
         return;
     }
-    std::size_t ci = 0;              // comb cursor (ascending id)
-    std::size_t ri = plan.regs.size(); // regs cursor (stored reversed)
-    std::size_t ii = 0;              // inputs cursor
-    std::size_t oi = 0;              // constOnes cursor
+    // Cursors into the comb, regs, inputs and constOnes tapes, all in
+    // ascending id order.
+    std::size_t ci = 0;
+    std::size_t ri = 0;
+    std::size_t ii = 0;
+    std::size_t oi = 0;
     const auto n = static_cast<NodeId>(numNodes);
     for (NodeId id = 0; id < n; ++id) {
         if (static_cast<std::uint8_t>(netlist->kinds[id]) > kMaxKind)
@@ -452,12 +448,12 @@ Verifier::checkPlan(const PlanView &plan, const NetlistView *netlist,
           case CompKind::Dff:
           case CompKind::Adder:
           case CompKind::Sub: {
-            if (ri == 0 || plan.regs[ri - 1].dst != id) {
+            if (ri >= plan.regs.size() || plan.regs[ri].dst != id) {
                 bad("PLAN-COVERAGE",
                     "register node missing from the commit tape", id);
                 break;
             }
-            const auto &op = plan.regs[--ri];
+            const auto &op = plan.regs[ri++];
             bool formOk = op.a == a;
             if (kind == CompKind::Dff)
                 formOk = formOk && op.b == plan.zeroSlot() &&
@@ -476,7 +472,7 @@ Verifier::checkPlan(const PlanView &plan, const NetlistView *netlist,
           }
         }
     }
-    if (ci != plan.comb.size() || ri != 0 ||
+    if (ci != plan.comb.size() || ri != plan.regs.size() ||
         ii != plan.inputs.size() || oi != plan.constOnes.size())
         bad("PLAN-COVERAGE",
             "tapes carry ops no netlist node accounts for");
@@ -797,8 +793,7 @@ verifyCompileRequest(const core::CompileOptions &options,
 }
 
 Report
-verifyCompiledMatrix(const core::CompiledMatrix &matrix,
-                     const VerifyOptions &opts)
+verifyCompiledMatrix(const core::CompiledMatrix &matrix)
 {
     Report report;
     const Verifier verifier;
@@ -813,24 +808,20 @@ verifyCompiledMatrix(const core::CompiledMatrix &matrix,
     const PlanView planView = PlanView::of(plan);
     verifier.checkPlan(planView, &netlist, &report);
 
-    if (opts.segmentKib != 0) {
-        const auto seg =
-            plan.segmentation(circuit::Segmentation::opsForBudget(
-                opts.segmentKib, opts.laneWords));
-        verifier.checkSegmentation(SegmentationView::of(*seg, plan),
-                                   &report);
-    }
+    const auto seg =
+        plan.segmentation(circuit::Segmentation::opsForBudget(1));
+    verifier.checkSegmentation(SegmentationView::of(*seg, plan), &report);
     return report;
 }
 
 Report
-verifyDesign(const core::TiledDesign &design, const VerifyOptions &opts)
+verifyDesign(const core::TiledDesign &design)
 {
     Report report;
     const Verifier verifier;
     verifier.checkTiles(TileView::of(design), &report);
     for (std::size_t i = 0; i < design.tileCount(); ++i) {
-        Report tile = verifyCompiledMatrix(design.tile(i), opts);
+        Report tile = verifyCompiledMatrix(design.tile(i));
         for (auto &d : tile.diagnostics) {
             if (design.tileCount() > 1)
                 d.message = "tile " + std::to_string(i) + ": " +
@@ -843,8 +834,7 @@ verifyDesign(const core::TiledDesign &design, const VerifyOptions &opts)
 
 Report
 verifyFile(const std::string &path,
-           const experiments::DesignKey *expected,
-           const VerifyOptions &opts)
+           const experiments::DesignKey *expected)
 {
     Report report;
     std::shared_ptr<const core::TiledDesign> design;
@@ -880,7 +870,7 @@ verifyFile(const std::string &path,
         report.add(Severity::Error, Layer::File, "FILE-KEY-MISMATCH",
                    path + ": stored design key does not match the "
                           "requested identity");
-    Report designReport = verifyDesign(*design, opts);
+    Report designReport = verifyDesign(*design);
     for (auto &d : designReport.diagnostics)
         report.diagnostics.push_back(std::move(d));
     return report;

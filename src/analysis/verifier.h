@@ -210,19 +210,6 @@ struct TileView
     static TileView of(const core::TiledDesign &design);
 };
 
-/** Tunables for whole-design verification. */
-struct VerifyOptions
-{
-    /**
-     * Segment budget (KiB) to derive the Segmentation under, mirroring
-     * SimOptions::segmentKib; 0 skips the segmentation layer.
-     */
-    std::size_t segmentKib = 4;
-
-    /** Lane words for the segment budget derivation. */
-    unsigned laneWords = 1;
-};
-
 /**
  * The invariant checker.  Each check* method appends findings for one
  * layer to a Report; the free verify* functions below compose them
@@ -260,18 +247,16 @@ Report verifyCompileRequest(const core::CompileOptions &options,
 
 /**
  * Verify one compiled tile end to end: netlist (with its output
- * columns), plan-vs-netlist, and the Segmentation at the configured
- * budget.  Executes nothing.
+ * columns), plan-vs-netlist, and the W=1 Segmentation.  Executes
+ * nothing.
  */
-Report verifyCompiledMatrix(const core::CompiledMatrix &matrix,
-                            const VerifyOptions &opts = {});
+Report verifyCompiledMatrix(const core::CompiledMatrix &matrix);
 
 /**
  * Verify a whole design: the tile partition plus every tile via
  * verifyCompiledMatrix.  This is the admission-time entry point.
  */
-Report verifyDesign(const core::TiledDesign &design,
-                    const VerifyOptions &opts = {});
+Report verifyDesign(const core::TiledDesign &design);
 
 /**
  * Verify a `.sptd` store file: container integrity (FILE-* rules,
@@ -280,8 +265,7 @@ Report verifyDesign(const core::TiledDesign &design,
  * design via verifyDesign.
  */
 Report verifyFile(const std::string &path,
-                  const experiments::DesignKey *expected = nullptr,
-                  const VerifyOptions &opts = {});
+                  const experiments::DesignKey *expected = nullptr);
 
 } // namespace spatial::analysis
 

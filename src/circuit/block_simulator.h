@@ -2,37 +2,39 @@
  * @file
  * Tape-driven, >64-lane netlist simulator.
  *
- * BlockSimulator<W> executes an ExecPlan over W consecutive 64-bit
- * lane-words per node, evaluating the same netlist for up to 64*W
- * independent input vectors per step (W=1 matches WideSimulator's 64
- * lanes; W=4 gives 256, W=8 gives 512).  The settle and commit sweeps
- * are executed by a circuit::kernels::Kernel — explicit SIMD code
- * (AVX2/NEON) selected once per process by runtime CPU detection, or
- * injected by the caller to pin a specific dispatch target (the
+ * BlockSimulator<W> executes a plan's Segmentation over W consecutive
+ * 64-bit lane-words per node, evaluating the same netlist for up to
+ * 64*W independent input vectors per step (W=1 matches WideSimulator's
+ * 64 lanes; W=4 gives 256, W=8 gives 512).  The settle and commit
+ * sweeps are executed by a circuit::kernels::Kernel — explicit SIMD
+ * code (AVX2/NEON) selected once per process by runtime CPU detection,
+ * or injected by the caller to pin a specific dispatch target (the
  * equivalence suite cross-checks every one).
  *
- * Two execution modes share the class:
+ * There is one schedule, the Segmentation, run in two kinds of cycle:
  *
- *  - **Full sweeps** (no Segmentation): the settle tape is a single
- *    branch-free `(a & b) ^ inv` loop and the commit tape a single
- *    branch-free full-adder loop, exactly the PR 4 engine.
- *  - **Segmented, activity-gated** (constructed with a Segmentation):
- *    settle() runs one fused pass over the segments, settling each
- *    segment's comb ops and computing its registers' next states into a
- *    pending buffer in one cache-warm visit — and *skips* every segment
- *    whose frontier did not change: no frontier segment's comb values
- *    changed this cycle, none of its registers or carries changed last
- *    cycle, and the driven inputs are unchanged (after the input bits
- *    of a bit-serial stream are exhausted, most of the circuit is
- *    provably quiescent, which is where the drain-cycle win comes
- *    from).  commit() then flips the pending next states into the value
- *    array.  Skipping is exact, not approximate: a segment is only
- *    skipped when every op would recompute its current value, so
- *    outputs *and* toggle counts are bit-identical to the full sweeps
- *    and to WideSimulator in both modes (proved by the equivalence
- *    suite).  In gated mode each settle() must be paired with a
- *    commit() before the next settle() — carries advance during the
- *    fused pass.
+ *  - **Gated cycles.**  settle() runs one fused pass over the
+ *    segments, settling each segment's comb ops and computing its
+ *    registers' next states into a pending buffer in one cache-warm
+ *    visit — and *skips* every segment whose frontier did not change:
+ *    no frontier segment's comb values changed this cycle, none of its
+ *    registers or carries changed last cycle, and the driven inputs
+ *    are unchanged (after the input bits of a bit-serial stream are
+ *    exhausted, most of the circuit is provably quiescent, which is
+ *    where the drain-cycle win comes from).  commit() then flips the
+ *    pending next states into the value array.
+ *  - **Dense cycles.**  While the driven inputs are changing, gating
+ *    is pure overhead, so the cycle runs one full settle sweep and one
+ *    in-place commit over the whole segmentation instead.  Passing
+ *    `activityGating = false` forces every cycle dense; that mode
+ *    exists only as a bench and test reference for the gated one.
+ *
+ * Skipping is exact, not approximate: a segment is only skipped when
+ * every op would recompute its current value, so outputs *and* toggle
+ * counts are bit-identical to forced-dense execution and to
+ * WideSimulator (proved by the equivalence suite).  Each settle() must
+ * be paired with a commit() before the next settle() — carries advance
+ * during the fused pass.
  *
  * The cycle is split into the two synchronous phases explicitly:
  * settle() computes every output for the cycle; outputs must be read
@@ -80,31 +82,30 @@ class BlockSimulator
     static constexpr unsigned kLanes = 64 * W;
 
     /**
-     * Bind to a plan; the plan must outlive the simulator.  The sweeps
-     * run on `kernel` (default: the runtime-detected process kernel).
-     * Passing a Segmentation of the same plan selects segmented,
-     * activity-gated execution (see the file comment); nullptr selects
-     * the classic full sweeps.
+     * Bind to a plan and its Segmentation; the plan must outlive the
+     * simulator.  The sweeps run on `kernel` (default: the
+     * runtime-detected process kernel).  `activityGating = false`
+     * forces every cycle dense (see the file comment).
      */
-    explicit BlockSimulator(
-        const ExecPlan &plan, const kernels::Kernel *kernel = nullptr,
-        std::shared_ptr<const Segmentation> segmentation = nullptr)
+    BlockSimulator(const ExecPlan &plan,
+                   std::shared_ptr<const Segmentation> segmentation,
+                   const kernels::Kernel *kernel = nullptr,
+                   bool activityGating = true)
         : plan_(plan),
           kernel_(kernel != nullptr ? *kernel : kernels::activeKernel()),
           segmentation_(std::move(segmentation)),
+          activityGating_(activityGating),
+          slotOf_(segmentation_->slotOf().data()),
           cur_(plan.numSlots() * W, 0),
-          carry_(plan.regs().size() * W, 0)
+          carry_(plan.regs().size() * W, 0),
+          pending_(segmentation_->regs().size() * W, 0)
     {
-        if (segmentation_ != nullptr) {
-            slotOf_ = segmentation_->slotOf().data();
-            const std::size_t segments = segmentation_->segments().size();
-            const std::size_t words = (segments + 63) / 64;
-            pending_.assign(segmentation_->regs().size() * W, 0);
-            dirtyNow_.assign(words, 0);
-            dirtyNext_.assign(words, 0);
-            flipPending_.assign(segments, 0);
-            pendingStale_.assign(segments, 0);
-        }
+        const std::size_t segments = segmentation_->segments().size();
+        const std::size_t words = (segments + 63) / 64;
+        dirtyNow_.assign(words, 0);
+        dirtyNext_.assign(words, 0);
+        flipPending_.assign(segments, 0);
+        pendingStale_.assign(segments, 0);
         reset();
     }
 
@@ -123,30 +124,26 @@ class BlockSimulator
         std::fill(cur_.begin(), cur_.end(), 0);
         for (unsigned w = 0; w < W; ++w)
             cur_[std::size_t{plan_.onesSlot()} * W + w] = ~std::uint64_t{0};
-        const auto &const_ones =
-            gated() ? segmentation_->constOnes() : plan_.constOnes();
-        for (const auto node : const_ones)
+        for (const auto node : segmentation_->constOnes())
             for (unsigned w = 0; w < W; ++w)
                 cur_[std::size_t{node} * W + w] = ~std::uint64_t{0};
-        const auto &regs = gated() ? segmentation_->regs() : plan_.regs();
+        const auto &regs = segmentation_->regs();
         for (std::size_t k = 0; k < regs.size(); ++k)
             for (unsigned w = 0; w < W; ++w)
                 carry_[k * W + w] = regs[k].carryInit;
-        if (gated()) {
-            // pending_ needs no clear: cycle 0 always runs dense, and
-            // leaving dense marks every segment pendingStale_, so each
-            // pending slice is refreshed from the value array before
-            // its first gated read.
-            std::fill(dirtyNow_.begin(), dirtyNow_.end(), 0);
-            std::fill(dirtyNext_.begin(), dirtyNext_.end(), 0);
-            std::fill(flipPending_.begin(), flipPending_.end(), 0);
-            std::fill(pendingStale_.begin(), pendingStale_.end(), 0);
-        }
+        // pending_ needs no clear: cycle 0 always runs dense, and
+        // leaving dense marks every segment pendingStale_, so each
+        // pending slice is refreshed from the value array before its
+        // first gated read.
+        std::fill(dirtyNow_.begin(), dirtyNow_.end(), 0);
+        std::fill(dirtyNext_.begin(), dirtyNext_.end(), 0);
+        std::fill(flipPending_.begin(), flipPending_.end(), 0);
+        std::fill(pendingStale_.begin(), pendingStale_.end(), 0);
     }
 
     /**
      * Phase 1 of a cycle: drive the inputs and settle every output.
-     * In gated mode this also computes register next states (into the
+     * A gated cycle also computes register next states (into the
      * pending buffer), so each settle() must be followed by a commit()
      * before the next settle().
      *
@@ -157,24 +154,6 @@ class BlockSimulator
     void
     settle(const std::uint64_t *input_words, std::size_t num_ports)
     {
-        if (!gated()) {
-            for (const auto &in : plan_.inputs()) {
-                std::uint64_t *dst = &cur_[std::size_t{in.node} * W];
-                if (in.port < num_ports) {
-                    const std::uint64_t *src = input_words +
-                                               std::size_t{in.port} * W;
-                    for (unsigned w = 0; w < W; ++w)
-                        dst[w] = src[w];
-                } else {
-                    for (unsigned w = 0; w < W; ++w)
-                        dst[w] = 0;
-                }
-            }
-            const auto &comb = plan_.comb();
-            kernel_.settle(comb.data(), comb.size(), cur_.data(), W);
-            return;
-        }
-
         const std::uint64_t input_change =
             driveInputs(input_words, num_ports);
         const auto &segments = segmentation_->segments();
@@ -184,17 +163,18 @@ class BlockSimulator
 
         // While the driven inputs are still changing, essentially the
         // whole circuit is active and per-segment gating is pure
-        // overhead — run the cycle *dense*: owed flips first, then the
-        // classic full settle sweep now and one hazard-free in-place
-        // commit over the reg tape (walked backwards, so descending
-        // slots) at commit() time, with no pending traffic and no
-        // change masks at all.  The activity wavefront needs a couple
-        // of cycles to recede once the inputs go quiet, so gating
-        // resumes shortly after — the drain phase, the skip win this
-        // engine exists for.
+        // overhead — run the cycle *dense*: owed flips first, then one
+        // full settle sweep now and one hazard-free in-place commit
+        // over the reg tape (walked backwards, so descending slots) at
+        // commit() time, with no pending traffic and no change masks
+        // at all.  The activity wavefront needs a couple of cycles to
+        // recede once the inputs go quiet, so gating resumes shortly
+        // after — the drain phase, the skip win this engine exists
+        // for.  Forced-dense simulators take this branch every cycle.
         constexpr std::uint32_t kDenseHysteresis = 2;
         quietCycles_ = input_change != 0 ? 0 : quietCycles_ + 1;
-        if (cycle_ == 0 || quietCycles_ <= kDenseHysteresis) {
+        if (!activityGating_ || cycle_ == 0 ||
+            quietCycles_ <= kDenseHysteresis) {
             denseCycle_ = true;
             for (std::size_t s = 0; s < segments.size(); ++s) {
                 if (!flipPending_[s])
@@ -322,29 +302,18 @@ class BlockSimulator
     }
 
     /**
-     * Phase 2: latch all register next states.  In gated mode the
-     * latch becomes *visible* lazily — each segment folds its pending
-     * states in at its next settle visit, before any reader — so
-     * outputs must be sampled between settle() and commit(), as the
+     * Phase 2: latch all register next states.  After a gated cycle
+     * the latch becomes *visible* lazily — each segment folds its
+     * pending states in at its next settle visit, before any reader —
+     * so outputs must be sampled between settle() and commit(), as the
      * contract has always required.
      */
     void
     commit()
     {
-        if (!gated()) {
-            const auto &regs = plan_.regs();
-            const std::uint64_t toggles =
-                kernel_.commit(regs.data(), regs.size(), cur_.data(),
-                               carry_.data(), W, CountToggles);
-            if constexpr (CountToggles)
-                toggles_ += toggles;
-            ++cycle_;
-            return;
-        }
-
         if (denseCycle_) {
             // The dense in-place commit: one hazard-free pass over the
-            // descending-slot reg tape, exactly the classic sweep.
+            // reg tape in descending slot order.
             denseCycle_ = false;
             wasDense_ = true;
             const auto &regs = segmentation_->regs();
@@ -395,8 +364,7 @@ class BlockSimulator
     outputWords(NodeId id) const
     {
         SPATIAL_ASSERT(id < plan_.numNodes(), "node ", id, " out of range");
-        const NodeId slot = slotOf_ != nullptr ? slotOf_[id] : id;
-        return &cur_[std::size_t{slot} * W];
+        return &cur_[std::size_t{slotOf_[id]} * W];
     }
 
     /** Lane-word `w` of a component; see outputWords(). */
@@ -435,13 +403,10 @@ class BlockSimulator
     /** The kernel executing this simulator's sweeps. */
     const kernels::Kernel &kernel() const { return kernel_; }
 
-    /** Whether segmented, activity-gated execution is active. */
-    bool gated() const { return segmentation_ != nullptr; }
-
-    /** Segments executed since reset (0 in full-sweep mode). */
+    /** Segments executed since reset; a dense cycle executes them all. */
     std::uint64_t segmentsExecuted() const { return segmentsExecuted_; }
 
-    /** Segments skipped as quiescent since reset (0 in full-sweep mode). */
+    /** Segments skipped as quiescent since reset (0 when forced dense). */
     std::uint64_t segmentsSkipped() const { return segmentsSkipped_; }
 
   private:
@@ -488,13 +453,12 @@ class BlockSimulator
 
     const ExecPlan &plan_;
     const kernels::Kernel &kernel_; //!< sweep implementation
-    std::shared_ptr<const Segmentation>
-        segmentation_;                 //!< non-null = gated mode
-    const NodeId *slotOf_ = nullptr;   //!< gated: node id -> value slot
-    AlignedWordVector cur_;   //!< numSlots()*W settled values
-    AlignedWordVector carry_; //!< per-RegOp carry registers
-    AlignedWordVector
-        pending_; //!< gated mode: per-RegOp next states awaiting commit
+    std::shared_ptr<const Segmentation> segmentation_; //!< the schedule
+    const bool activityGating_; //!< false = every cycle dense
+    const NodeId *slotOf_;      //!< node id -> value slot
+    AlignedWordVector cur_;     //!< numSlots()*W settled values
+    AlignedWordVector carry_;   //!< per-RegOp carry registers
+    AlignedWordVector pending_; //!< per-RegOp next states awaiting commit
     std::vector<std::uint64_t> dirtyNow_;   //!< wake set, this cycle
     std::vector<std::uint64_t> dirtyNext_;  //!< wake set, next cycle
     std::vector<std::uint8_t> flipPending_; //!< await a deferred flip

@@ -52,10 +52,6 @@ ExecPlan::ExecPlan(const Netlist &netlist)
             break;
         }
     }
-
-    // Appended in ascending id order above; reverse for the in-place
-    // commit ordering (descending dst).
-    std::reverse(regs_.begin(), regs_.end());
 }
 
 std::shared_ptr<const Segmentation>
@@ -70,11 +66,11 @@ ExecPlan::segmentation(std::size_t ops_per_segment) const
 }
 
 std::size_t
-Segmentation::opsForBudget(std::size_t segment_kib, unsigned lane_words)
+Segmentation::opsForBudget(unsigned lane_words)
 {
     const std::size_t op_bytes =
         4 * sizeof(std::uint64_t) * std::max(1u, lane_words);
-    return std::max<std::size_t>(16, segment_kib * 1024 / op_bytes);
+    return std::max<std::size_t>(16, kBudgetKib * 1024 / op_bytes);
 }
 
 Segmentation::Segmentation(const ExecPlan &plan, std::size_t ops_per_segment)
@@ -88,8 +84,8 @@ Segmentation::Segmentation(const ExecPlan &plan, std::size_t ops_per_segment)
     // Register depth per slot (== bit-serial stream latency): inputs
     // and constants are 0, registers are one past their deepest source,
     // comb ops propagate within the cycle.  Both tapes are sorted by
-    // dst (comb ascending, regs descending) and every source id is
-    // below its dst, so one ascending id walk resolves all depths.
+    // ascending dst and every source id is below its dst, so one
+    // ascending id walk resolves all depths.
     //
     // The same walk renumbers the value slots that no op writes
     // (inputs and constants, never written by a sweep): they keep the
@@ -99,13 +95,13 @@ Segmentation::Segmentation(const ExecPlan &plan, std::size_t ops_per_segment)
     slotOf_.assign(num_slots, 0);
     NodeId next_slot = 0;
     std::size_t ci = 0;
-    std::size_t ri = plan_regs.size();
+    std::size_t ri = 0;
     for (NodeId id = 0; id < num_nodes; ++id) {
         if (ci < plan_comb.size() && plan_comb[ci].dst == id) {
             const auto &op = plan_comb[ci++];
             depth[id] = std::max(depth[op.a], depth[op.b]);
-        } else if (ri > 0 && plan_regs[ri - 1].dst == id) {
-            const auto &op = plan_regs[--ri];
+        } else if (ri < plan_regs.size() && plan_regs[ri].dst == id) {
+            const auto &op = plan_regs[ri++];
             depth[id] = std::max(depth[op.a], depth[op.b]) + 1;
         } else {
             slotOf_[id] = next_slot++;
@@ -136,13 +132,13 @@ Segmentation::Segmentation(const ExecPlan &plan, std::size_t ops_per_segment)
     // with the low bit set for register ops.
     std::vector<std::uint32_t> order(next_slot - first_op_slot);
     ci = 0;
-    ri = plan_regs.size();
+    ri = 0;
     for (NodeId id = 0; id < num_nodes; ++id) {
         std::uint32_t op;
         if (ci < plan_comb.size() && plan_comb[ci].dst == id)
             op = static_cast<std::uint32_t>(ci++) << 1;
-        else if (ri > 0 && plan_regs[ri - 1].dst == id)
-            op = static_cast<std::uint32_t>(--ri) << 1 | 1u;
+        else if (ri < plan_regs.size() && plan_regs[ri].dst == id)
+            op = static_cast<std::uint32_t>(ri++) << 1 | 1u;
         else
             continue;
         const NodeId slot = depth_cursor[depth[id]]++;

@@ -15,10 +15,7 @@
  *    subtractor via the bit-serial full-adder form
  *    `sum = a ^ (b ^ bInv) ^ carry`: a DFF is an adder with b = the
  *    always-zero slot (carry stays 0), a subtractor an adder with b
- *    inverted and carry seeded to 1.  The tape is sorted by descending
- *    destination id, which makes in-place commit hazard-free — the
- *    builder's SSA rule puts every source below its consumer, so all
- *    readers of a node commit before that node's slot is overwritten;
+ *    inverted and carry seeded to 1, also in ascending id order;
  *  - a dense input map (node, port) and the list of constant-one nodes,
  *    so constants are materialized exactly once at reset.
  *
@@ -27,9 +24,9 @@
  * simulator instances and worker threads (the tapes are immutable after
  * build and therefore safe for concurrent readers).
  *
- * For activity-gated execution the plan additionally hands out cached
- * Segmentations: the same ops re-scheduled into an ordered list of
- * cache-sized segments with a precomputed cross-segment dependency
+ * Simulators do not run these tapes directly: the plan hands out
+ * cached Segmentations, the same ops re-scheduled into an ordered list
+ * of cache-sized segments with a precomputed cross-segment dependency
  * frontier, so a simulator can skip every segment whose fan-in did not
  * change last cycle (see the Segmentation class comment).
  */
@@ -125,7 +122,7 @@ class ExecPlan
     /** Externally driven streams, in ascending node order. */
     const std::vector<InputOp> &inputs() const { return inputs_; }
 
-    /** Commit tape, sorted by descending dst (see class comment). */
+    /** Commit tape, in ascending dst order. */
     const std::vector<RegOp> &regs() const { return regs_; }
 
     /** Const1 nodes, materialized once at reset. */
@@ -158,13 +155,12 @@ class ExecPlan
  * The plan's ops re-scheduled for cache-blocked, activity-gated
  * execution.
  *
- * The two monolithic tapes sweep every op every cycle.  A Segmentation
- * partitions the same ops into an ordered list of fixed-size
- * **segments** that a simulator settles and commits in one fused pass —
- * and, crucially, can *skip*: a segment whose fan-in did not change
- * since it last ran is provably quiescent (every op is a pure function
- * of its sources and its own carry), so skipping reproduces its outputs
- * and its zero toggles exactly.
+ * A Segmentation partitions the plan's ops into an ordered list of
+ * fixed-size **segments** that a simulator settles and commits in one
+ * fused pass — and, crucially, can *skip*: a segment whose fan-in did
+ * not change since it last ran is provably quiescent (every op is a
+ * pure function of its sources and its own carry), so skipping
+ * reproduces its outputs and its zero toggles exactly.
  *
  * Ops are ordered by (register depth, id) instead of raw id.  Register
  * depth is the bit-serial stream latency: nodes at depth d emit result
@@ -249,10 +245,10 @@ class Segmentation
     /**
      * Reg ops in renumbered slot space, in segment (ascending slot)
      * order.  Gated per-segment sweeps commit through a pending buffer
-     * so the order carries no in-place hazard; the dense full-sweep
-     * fallback walks this same tape *backwards* (Kernel::commitReverse)
-     * — descending destination slots — which is hazard-free in place
-     * because every source slot is below its op's slot.
+     * so the order carries no in-place hazard; dense cycles walk this
+     * same tape *backwards* (Kernel::commitReverse) — descending
+     * destination slots — which is hazard-free in place because every
+     * source slot is below its op's slot.
      */
     const std::vector<ExecPlan::RegOp> &regs() const { return regs_; }
 
@@ -286,14 +282,22 @@ class Segmentation
     std::size_t opsPerSegment() const { return opsPerSegment_; }
 
     /**
-     * The op budget for a `segmentKib`-KiB working-set target at
-     * `laneWords` words per node: an op touches about four slots (dst,
-     * two sources, carry), so a segment of this many ops keeps roughly
-     * segmentKib KiB of the value array hot between its settle and its
-     * commit.  Clamped to at least 16 ops.
+     * Working-set target per segment in KiB.  Smaller segments gate at
+     * a finer grain but pay more per-segment bookkeeping; 4 KiB keeps a
+     * segment's slice of the value array L1-resident between its
+     * settle and its commit, and no serving shape measured 1.15x
+     * faster at 1, 2, 8 or 16 KiB (see docs/simulation.md).
      */
-    static std::size_t opsForBudget(std::size_t segmentKib,
-                                    unsigned laneWords);
+    static constexpr std::size_t kBudgetKib = 4;
+
+    /**
+     * The op budget for a kBudgetKib working set at `laneWords` words
+     * per node: an op touches about four slots (dst, two sources,
+     * carry), so a segment of this many ops keeps roughly kBudgetKib
+     * of the value array hot between its settle and its commit.
+     * Clamped to at least 16 ops.
+     */
+    static std::size_t opsForBudget(unsigned laneWords);
 
   private:
     std::size_t opsPerSegment_ = 0;

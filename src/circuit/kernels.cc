@@ -71,14 +71,16 @@ settleScalar(const ExecPlan::CombOp *ops, std::size_t count,
     }
 }
 
-template <unsigned W, bool Count, bool Reverse = false>
+// The in-place commit sweeps walk the tape from the last op to the
+// first; see Kernel::commitReverse.
+template <unsigned W, bool Count>
 std::uint64_t
 commitScalarT(const ExecPlan::RegOp *ops, std::size_t count,
               std::uint64_t *cur, std::uint64_t *carry)
 {
     std::uint64_t toggles = 0;
     for (std::size_t i = 0; i < count; ++i) {
-        const std::size_t k = Reverse ? count - 1 - i : i;
+        const std::size_t k = count - 1 - i;
         const auto &op = ops[k];
         const std::uint64_t *a = cur + std::size_t{op.a} * W;
         const std::uint64_t *b_raw = cur + std::size_t{op.b} * W;
@@ -103,7 +105,7 @@ commitScalarT(const ExecPlan::RegOp *ops, std::size_t count,
     return toggles;
 }
 
-template <bool Count, bool Reverse = false>
+template <bool Count>
 std::uint64_t
 commitScalarGeneric(const ExecPlan::RegOp *ops, std::size_t count,
                     std::uint64_t *cur, std::uint64_t *carry,
@@ -111,7 +113,7 @@ commitScalarGeneric(const ExecPlan::RegOp *ops, std::size_t count,
 {
     std::uint64_t toggles = 0;
     for (std::size_t i = 0; i < count; ++i) {
-        const std::size_t k = Reverse ? count - 1 - i : i;
+        const std::size_t k = count - 1 - i;
         const auto &op = ops[k];
         const std::uint64_t *a = cur + std::size_t{op.a} * lane_words;
         const std::uint64_t *b_raw = cur + std::size_t{op.b} * lane_words;
@@ -138,9 +140,9 @@ commitScalarGeneric(const ExecPlan::RegOp *ops, std::size_t count,
 }
 
 std::uint64_t
-commitScalar(const ExecPlan::RegOp *ops, std::size_t count,
-             std::uint64_t *cur, std::uint64_t *carry, unsigned lane_words,
-             bool count_toggles)
+commitReverseScalar(const ExecPlan::RegOp *ops, std::size_t count,
+                    std::uint64_t *cur, std::uint64_t *carry,
+                    unsigned lane_words, bool count_toggles)
 {
     if (count_toggles) {
         switch (lane_words) {
@@ -169,41 +171,6 @@ commitScalar(const ExecPlan::RegOp *ops, std::size_t count,
       default:
         return commitScalarGeneric<false>(ops, count, cur, carry,
                                           lane_words);
-    }
-}
-
-std::uint64_t
-commitReverseScalar(const ExecPlan::RegOp *ops, std::size_t count,
-                    std::uint64_t *cur, std::uint64_t *carry,
-                    unsigned lane_words, bool count_toggles)
-{
-    if (count_toggles) {
-        switch (lane_words) {
-          case 1:
-            return commitScalarT<1, true, true>(ops, count, cur, carry);
-          case 2:
-            return commitScalarT<2, true, true>(ops, count, cur, carry);
-          case 4:
-            return commitScalarT<4, true, true>(ops, count, cur, carry);
-          case 8:
-            return commitScalarT<8, true, true>(ops, count, cur, carry);
-          default:
-            return commitScalarGeneric<true, true>(ops, count, cur,
-                                                   carry, lane_words);
-        }
-    }
-    switch (lane_words) {
-      case 1:
-        return commitScalarT<1, false, true>(ops, count, cur, carry);
-      case 2:
-        return commitScalarT<2, false, true>(ops, count, cur, carry);
-      case 4:
-        return commitScalarT<4, false, true>(ops, count, cur, carry);
-      case 8:
-        return commitScalarT<8, false, true>(ops, count, cur, carry);
-      default:
-        return commitScalarGeneric<false, true>(ops, count, cur, carry,
-                                                lane_words);
     }
 }
 
@@ -466,7 +433,7 @@ settleAvx2(const ExecPlan::CombOp *ops, std::size_t count,
     }
 }
 
-template <unsigned W, bool Count, bool Reverse = false>
+template <unsigned W, bool Count>
 __attribute__((target("avx2"))) std::uint64_t
 commitAvx2T(const ExecPlan::RegOp *ops, std::size_t count,
             std::uint64_t *cur, std::uint64_t *carry)
@@ -474,7 +441,7 @@ commitAvx2T(const ExecPlan::RegOp *ops, std::size_t count,
     static_assert(W % 4 == 0);
     std::uint64_t toggles = 0;
     for (std::size_t i = 0; i < count; ++i) {
-        const std::size_t k = Reverse ? count - 1 - i : i;
+        const std::size_t k = count - 1 - i;
         const auto &op = ops[k];
         const std::uint64_t *a = cur + std::size_t{op.a} * W;
         const std::uint64_t *b_raw = cur + std::size_t{op.b} * W;
@@ -522,9 +489,9 @@ commitAvx2T(const ExecPlan::RegOp *ops, std::size_t count,
 }
 
 std::uint64_t
-commitAvx2(const ExecPlan::RegOp *ops, std::size_t count,
-           std::uint64_t *cur, std::uint64_t *carry, unsigned lane_words,
-           bool count_toggles)
+commitReverseAvx2(const ExecPlan::RegOp *ops, std::size_t count,
+                  std::uint64_t *cur, std::uint64_t *carry,
+                  unsigned lane_words, bool count_toggles)
 {
     switch (lane_words) {
       case 4:
@@ -535,26 +502,6 @@ commitAvx2(const ExecPlan::RegOp *ops, std::size_t count,
         return count_toggles
                    ? commitAvx2T<8, true>(ops, count, cur, carry)
                    : commitAvx2T<8, false>(ops, count, cur, carry);
-      default:
-        return commitScalar(ops, count, cur, carry, lane_words,
-                            count_toggles);
-    }
-}
-
-std::uint64_t
-commitReverseAvx2(const ExecPlan::RegOp *ops, std::size_t count,
-                  std::uint64_t *cur, std::uint64_t *carry,
-                  unsigned lane_words, bool count_toggles)
-{
-    switch (lane_words) {
-      case 4:
-        return count_toggles
-                   ? commitAvx2T<4, true, true>(ops, count, cur, carry)
-                   : commitAvx2T<4, false, true>(ops, count, cur, carry);
-      case 8:
-        return count_toggles
-                   ? commitAvx2T<8, true, true>(ops, count, cur, carry)
-                   : commitAvx2T<8, false, true>(ops, count, cur, carry);
       default:
         return commitReverseScalar(ops, count, cur, carry, lane_words,
                                    count_toggles);
@@ -808,7 +755,7 @@ settleNeon(const ExecPlan::CombOp *ops, std::size_t count,
     }
 }
 
-template <unsigned W, bool Count, bool Reverse = false>
+template <unsigned W, bool Count>
 std::uint64_t
 commitNeonT(const ExecPlan::RegOp *ops, std::size_t count,
             std::uint64_t *cur, std::uint64_t *carry)
@@ -816,7 +763,7 @@ commitNeonT(const ExecPlan::RegOp *ops, std::size_t count,
     static_assert(W % 2 == 0);
     std::uint64_t toggles = 0;
     for (std::size_t i = 0; i < count; ++i) {
-        const std::size_t k = Reverse ? count - 1 - i : i;
+        const std::size_t k = count - 1 - i;
         const auto &op = ops[k];
         const std::uint64_t *a = cur + std::size_t{op.a} * W;
         const std::uint64_t *b_raw = cur + std::size_t{op.b} * W;
@@ -848,9 +795,9 @@ commitNeonT(const ExecPlan::RegOp *ops, std::size_t count,
 }
 
 std::uint64_t
-commitNeon(const ExecPlan::RegOp *ops, std::size_t count,
-           std::uint64_t *cur, std::uint64_t *carry, unsigned lane_words,
-           bool count_toggles)
+commitReverseNeon(const ExecPlan::RegOp *ops, std::size_t count,
+                  std::uint64_t *cur, std::uint64_t *carry,
+                  unsigned lane_words, bool count_toggles)
 {
     switch (lane_words) {
       case 2:
@@ -865,30 +812,6 @@ commitNeon(const ExecPlan::RegOp *ops, std::size_t count,
         return count_toggles
                    ? commitNeonT<8, true>(ops, count, cur, carry)
                    : commitNeonT<8, false>(ops, count, cur, carry);
-      default:
-        return commitScalar(ops, count, cur, carry, lane_words,
-                            count_toggles);
-    }
-}
-
-std::uint64_t
-commitReverseNeon(const ExecPlan::RegOp *ops, std::size_t count,
-                  std::uint64_t *cur, std::uint64_t *carry,
-                  unsigned lane_words, bool count_toggles)
-{
-    switch (lane_words) {
-      case 2:
-        return count_toggles
-                   ? commitNeonT<2, true, true>(ops, count, cur, carry)
-                   : commitNeonT<2, false, true>(ops, count, cur, carry);
-      case 4:
-        return count_toggles
-                   ? commitNeonT<4, true, true>(ops, count, cur, carry)
-                   : commitNeonT<4, false, true>(ops, count, cur, carry);
-      case 8:
-        return count_toggles
-                   ? commitNeonT<8, true, true>(ops, count, cur, carry)
-                   : commitNeonT<8, false, true>(ops, count, cur, carry);
       default:
         return commitReverseScalar(ops, count, cur, carry, lane_words,
                                    count_toggles);
@@ -1066,11 +989,9 @@ transposeNeon(std::uint64_t a[64])
 const Kernel &
 avx2Kernel()
 {
-    static const Kernel kernel{"avx2",         4,
-                               settleAvx2,     commitAvx2,
-                               commitReverseAvx2,
-                               settleMaskedAvx2, commitGatedAvx2,
-                               transposeAvx2};
+    static const Kernel kernel{"avx2",           settleAvx2,
+                               commitReverseAvx2, settleMaskedAvx2,
+                               commitGatedAvx2,  transposeAvx2};
     return kernel;
 }
 
@@ -1081,11 +1002,9 @@ avx2Kernel()
 const Kernel &
 neonKernel()
 {
-    static const Kernel kernel{"neon",         2,
-                               settleNeon,     commitNeon,
-                               commitReverseNeon,
-                               settleMaskedNeon, commitGatedNeon,
-                               transposeNeon};
+    static const Kernel kernel{"neon",           settleNeon,
+                               commitReverseNeon, settleMaskedNeon,
+                               commitGatedNeon,  transposeNeon};
     return kernel;
 }
 
@@ -1096,11 +1015,9 @@ neonKernel()
 const Kernel &
 scalarKernel()
 {
-    static const Kernel kernel{"scalar",        1,
-                               settleScalar,    commitScalar,
-                               commitReverseScalar,
-                               settleMaskedScalar, commitGatedScalar,
-                               transposeScalar};
+    static const Kernel kernel{"scalar",            settleScalar,
+                               commitReverseScalar, settleMaskedScalar,
+                               commitGatedScalar,   transposeScalar};
     return kernel;
 }
 

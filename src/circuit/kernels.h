@@ -75,34 +75,21 @@ struct Kernel
     /** Registry name: "scalar", "avx2", or "neon". */
     const char *name;
 
-    /**
-     * 64-bit lane-words covered by one vector register (1 for scalar);
-     * the adaptive lane-word heuristic sizes W to a multiple of this.
-     */
-    unsigned vectorWords;
-
     /** Settle sweep: `cur[op.dst*W + w] = (a[w] & b[w]) ^ inv`. */
     void (*settle)(const ExecPlan::CombOp *ops, std::size_t count,
                    std::uint64_t *cur, unsigned laneWords);
 
     /**
-     * Commit sweep (bit-serial full adder, in place, tape order).
+     * In-place commit sweep (bit-serial full adder), processing the
+     * tape from the last op to the first.  On a tape sorted by
+     * ascending destination slot this is the hazard-free in-place
+     * order (every reader commits before its source is overwritten),
+     * which is how simulators run their dense cycles without
+     * disturbing the ascending layout the per-segment sweeps prefer.
      * `carry` holds W words per RegOp, indexed by tape position.
      * Returns the register-bit toggle count of the pass when
      * `countToggles` is set (exactly WideSimulator's accounting), 0
      * otherwise.
-     */
-    std::uint64_t (*commit)(const ExecPlan::RegOp *ops, std::size_t count,
-                            std::uint64_t *cur, std::uint64_t *carry,
-                            unsigned laneWords, bool countToggles);
-
-    /**
-     * As commit(), but processing the tape from the last op to the
-     * first.  On a tape sorted by ascending destination slot this is
-     * the hazard-free in-place order (every reader commits before its
-     * source is overwritten), which is how gated simulators run their
-     * dense full-sweep cycles without disturbing the ascending layout
-     * the per-segment sweeps prefer.
      */
     std::uint64_t (*commitReverse)(const ExecPlan::RegOp *ops,
                                    std::size_t count, std::uint64_t *cur,
@@ -126,8 +113,8 @@ struct Kernel
      * writing `cur` in place, advances `carry`, and returns the
      * OR-reduced register change mask
      * `(old dst ^ sum) | (carry ^ carry')`.  When `countToggles` is
-     * set, adds the pass's exact toggle count (identical to commit's
-     * accounting) to `*toggles`.
+     * set, adds the pass's exact toggle count (identical to
+     * commitReverse's accounting) to `*toggles`.
      *
      * The previous pending value *is* the op's presented value (the
      * simulator keeps `cur[dst]` equal to it), so the old state is

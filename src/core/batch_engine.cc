@@ -23,15 +23,12 @@ signExtend(std::uint64_t word, int out_bits)
     return static_cast<std::int64_t>(word);
 }
 
-/** The design's cached segmentation for gated runs; null when off. */
+/** The design's cached segmentation at `lane_words` words per node. */
 std::shared_ptr<const circuit::Segmentation>
-segmentationFor(const CompiledMatrix &design, const SimOptions &options,
-                unsigned lane_words)
+segmentationFor(const CompiledMatrix &design, unsigned lane_words)
 {
-    if (!options.activityGating)
-        return nullptr;
-    return design.plan().segmentation(circuit::Segmentation::opsForBudget(
-        options.segmentKib, lane_words));
+    return design.plan().segmentation(
+        circuit::Segmentation::opsForBudget(lane_words));
 }
 
 /**
@@ -47,7 +44,8 @@ class GroupRunner
                 const circuit::kernels::Kernel &kernel,
                 const SimOptions &options)
         : design_(design),
-          sim_(design.plan(), &kernel, segmentationFor(design, options, W)),
+          sim_(design.plan(), segmentationFor(design, W), &kernel,
+               options.activityGating),
           planeStride_(design.rows() * W),
           planes_((static_cast<std::size_t>(design.options().inputBits) + 1) *
                       planeStride_,
@@ -260,45 +258,21 @@ runBatchWideT(const CompiledMatrix &design, const IntMatrix &batch,
 }
 
 /**
- * Pick W for a design/batch pair on a given kernel.  Start from the
- * widest block the batch can fill (capped at the engine's maximum of
- * 8), then shrink while the simulator's value-array footprint — whose
- * accesses are random — overflows a conservative mid-level-cache
- * budget.  When the batch fills at least one vector register, the
- * shrink floors at the kernel's vector width: below it the pass count
- * stays the same but the sweeps lose their SIMD width, and measurement
- * shows one over-budget W=4 AVX2 pass beats four cached scalar passes
- * (18.6 ms vs 29.3 ms on the 26k-node acceptance design).  When the
- * batch cannot fill a vector, the floor does not apply — there the
- * same measurement flips (one half-empty W=8 pass of a since-removed
- * 512-bit kernel was 2.7x slower than two cached scalar passes), so the kernel's scalar
- * fallback at a cache-fitting W is the fast path.
+ * Pick W for a batch: the widest block it can fill, capped at the
+ * engine's maximum of 8.  Execution is cache-blocked per segment (the
+ * fused pass works an L1-sized slice at a time) and skips most of the
+ * array on quiescent cycles, so the whole value array's size does not
+ * matter, and the widest block amortizes the gated sweeps' per-op
+ * overhead over the most lanes (measured: W=8 gated beats W=4 gated by
+ * ~1.2x on the acceptance workload with AVX2).
  */
 unsigned
-autoLaneWords(const CompiledMatrix &design, std::size_t batch_rows,
-              const circuit::kernels::Kernel &kernel, bool activity_gating)
+autoLaneWords(std::size_t batch_rows)
 {
-    constexpr std::size_t cache_budget_bytes = 256 * 1024;
     const std::size_t words_needed = (batch_rows + 63) / 64;
-    const std::size_t state_bytes_per_word =
-        design.plan().numSlots() * sizeof(std::uint64_t);
-    const unsigned vec = std::min(8u, std::max(1u, kernel.vectorWords));
-    const unsigned floor = words_needed >= vec ? vec : 1;
-
     unsigned w = 1;
     while (w < 8 && words_needed >= 2 * w)
         w *= 2;
-    // Activity-gated execution is cache-blocked per segment (the fused
-    // pass works an L1-sized slice at a time) and skips most of the
-    // array on quiescent cycles, so the whole-array cache-pressure
-    // shrink below does not apply — and the widest block the batch can
-    // fill amortizes the gated sweeps' per-op overhead over twice the
-    // lanes (measured: W=8 gated beats W=4 gated by ~1.2x on the
-    // acceptance workload with AVX2).
-    if (activity_gating)
-        return w;
-    while (w > floor && state_bytes_per_word * w > cache_budget_bytes)
-        w /= 2;
     return w;
 }
 
@@ -312,21 +286,17 @@ resolvedKernel(const SimOptions &options)
 }
 
 unsigned
-resolvedLaneWords(const CompiledMatrix &design, const SimOptions &options,
-                  std::size_t batch_rows)
+resolvedLaneWords(const SimOptions &options, std::size_t batch_rows)
 {
-    return options.laneWords != 0
-               ? options.laneWords
-               : autoLaneWords(design, batch_rows, resolvedKernel(options),
-                               options.activityGating);
+    return options.laneWords != 0 ? options.laneWords
+                                  : autoLaneWords(batch_rows);
 }
 
 unsigned
-resolvedThreads(const CompiledMatrix &design, const SimOptions &options,
-                std::size_t batch_rows)
+resolvedThreads(const SimOptions &options, std::size_t batch_rows)
 {
     const std::size_t lane_cap =
-        std::size_t{64} * resolvedLaneWords(design, options, batch_rows);
+        std::size_t{64} * resolvedLaneWords(options, batch_rows);
     const std::size_t num_groups =
         batch_rows == 0 ? 0 : (batch_rows + lane_cap - 1) / lane_cap;
     return resolveThreads(options, std::max<std::size_t>(1, num_groups));
@@ -346,8 +316,7 @@ runBatchWide(const CompiledMatrix &design, const IntMatrix &batch,
         return out;
 
     const circuit::kernels::Kernel &kernel = resolvedKernel(options);
-    const unsigned lane_words =
-        resolvedLaneWords(design, options, batch.rows());
+    const unsigned lane_words = resolvedLaneWords(options, batch.rows());
     switch (lane_words) {
       case 1:
         runBatchWideT<1>(design, batch, options, kernel, out, stats);
@@ -388,8 +357,8 @@ measureSwitchingActivity(const CompiledMatrix &design,
 
 TapeGemv::TapeGemv(const CompiledMatrix &design, const SimOptions &options)
     : design_(design),
-      sim_(design.plan(), &resolvedKernel(options),
-           segmentationFor(design, options, 1)),
+      sim_(design.plan(), segmentationFor(design, 1),
+           &resolvedKernel(options), options.activityGating),
       planes_((static_cast<std::size_t>(design.options().inputBits) + 1) *
                   design.rows(),
               0),

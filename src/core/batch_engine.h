@@ -34,8 +34,8 @@ class CompiledMatrix;
 
 /**
  * Engine-side accounting of one batched run: how many tape segments
- * the activity-gated simulators executed versus skipped as quiescent
- * (both zero when gating is disabled).
+ * the simulators executed versus skipped as quiescent (a forced-dense
+ * run executes every segment every cycle and skips none).
  */
 struct BatchStats
 {
@@ -66,13 +66,11 @@ IntMatrix runBatchWide(const CompiledMatrix &design, const IntMatrix &batch,
                        BatchStats *stats = nullptr);
 
 /**
- * The lane-word count W that runBatchWide uses for this design and a
- * batch of `batch_rows` vectors under `options` (resolves
- * laneWords == 0 auto sizing against the resolved kernel's vector
- * width), so callers can account netlist passes exactly.
+ * The lane-word count W that runBatchWide uses for a batch of
+ * `batch_rows` vectors under `options` (resolves laneWords == 0 auto
+ * sizing), so callers can account netlist passes exactly.
  */
-unsigned resolvedLaneWords(const CompiledMatrix &design,
-                           const SimOptions &options,
+unsigned resolvedLaneWords(const SimOptions &options,
                            std::size_t batch_rows);
 
 /**
@@ -83,15 +81,14 @@ unsigned resolvedLaneWords(const CompiledMatrix &design,
 const circuit::kernels::Kernel &resolvedKernel(const SimOptions &options);
 
 /**
- * The worker-thread count runBatchWide actually spawns for this
- * design/batch pair under `options`: SimOptions::threads with the 0 =
- * "one per hardware context" sentinel resolved and the result clamped
- * to the number of 64*W-lane groups, so benches and serving stats can
- * report the real parallelism instead of the raw option value.
+ * The worker-thread count runBatchWide actually spawns for a batch of
+ * `batch_rows` vectors under `options`: SimOptions::threads with the
+ * 0 = "one per hardware context" sentinel resolved and the result
+ * clamped to the number of 64*W-lane groups, so benches and serving
+ * stats can report the real parallelism instead of the raw option
+ * value.
  */
-unsigned resolvedThreads(const CompiledMatrix &design,
-                         const SimOptions &options,
-                         std::size_t batch_rows);
+unsigned resolvedThreads(const SimOptions &options, std::size_t batch_rows);
 
 /**
  * Persistent single-vector executor on the tape engine.
@@ -107,9 +104,9 @@ class TapeGemv
   public:
     /**
      * Bind to a design; the design must outlive this object.  The
-     * gating knobs of `options` apply per multiply (threads and
-     * laneWords are meaningless for a single-vector executor and are
-     * ignored).
+     * kernel and activityGating of `options` apply per multiply
+     * (threads and laneWords are meaningless for a single-vector
+     * executor and are ignored).
      */
     explicit TapeGemv(const CompiledMatrix &design,
                       const SimOptions &options = {});

@@ -102,15 +102,10 @@ struct SimOptions
     /**
      * 64-bit lane-words processed per node per pass (W): each netlist
      * pass evaluates 64*laneWords independent vectors.  Must be one of
-     * 1, 2, 4, 8; 0 = auto — the widest block the batch can fill,
-     * shrunk while the simulator state overflows a conservative
-     * mid-level-cache budget; when the batch fills at least one vector
-     * register of the dispatched kernel (an AVX2 op covers 4 words,
-     * NEON 2), the shrink floors at that width so large
-     * batches always ride the SIMD sweeps.  Under activity gating the
-     * cache shrink is skipped entirely: execution is already blocked
-     * into L1-sized segments, and the widest fillable block amortizes
-     * the gated sweeps' per-op overhead over the most lanes.
+     * 1, 2, 4, 8; 0 = auto — the widest block the batch can fill.
+     * Execution is already blocked into L1-sized segments, and the
+     * widest block amortizes the gated sweeps' per-op overhead over the
+     * most lanes.
      */
     unsigned laneWords = 0;
 
@@ -125,26 +120,16 @@ struct SimOptions
     const circuit::kernels::Kernel *kernel = nullptr;
 
     /**
-     * Segmented, activity-gated execution (circuit::Segmentation): the
-     * tapes run as cache-sized segments settled and committed in one
-     * fused pass each, and a segment is skipped entirely in cycles
-     * where its dependency frontier did not change — bit-exact
-     * (outputs and toggle counts) with the full sweeps, and the big
-     * win on the drain cycles of a bit-serial stream, where most of
-     * the circuit is provably quiescent.  Disabling falls back to the
-     * monolithic settle/commit sweeps.
+     * Activity gating on the circuit::Segmentation schedule: a segment
+     * is skipped in cycles where its dependency frontier did not
+     * change — bit-exact (outputs and toggle counts), and the big win
+     * on the drain cycles of a bit-serial stream, where most of the
+     * circuit is provably quiescent.  false forces every cycle onto
+     * the dense sweeps the gated engine already uses while its inputs
+     * change; it exists only as the reference the benches and tests
+     * compare gating against.
      */
     bool activityGating = true;
-
-    /**
-     * Working-set target per segment in KiB for activity-gated
-     * execution: smaller segments gate at a finer grain (more skipped
-     * work) but pay more per-segment bookkeeping.  The default keeps a
-     * segment's slice of the value array L1-resident between its
-     * settle and its commit — measured fastest around 2-8 KiB on the
-     * acceptance workload, degrading past the L1 size.
-     */
-    unsigned segmentKib = 4;
 };
 
 } // namespace spatial::core

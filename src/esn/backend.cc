@@ -64,7 +64,7 @@ BatchedSpatialBackend::multiplyBatch(const IntMatrix &xs)
     // Hardware cost accounting: one drain per netlist pass, one pass per
     // lane group.
     const std::size_t lanes =
-        64 * core::resolvedLaneWords(design(), simOptions_, xs.rows());
+        64 * core::resolvedLaneWords(simOptions_, xs.rows());
     const std::size_t groups =
         xs.rows() == 0 ? 0 : (xs.rows() + lanes - 1) / lanes;
     addCycles(static_cast<std::uint64_t>(groups) * design().drainCycles());

@@ -14,7 +14,6 @@ Registry::instance()
         registerLargeScaleExperiments(*r);
         registerBaselineExperiments(*r);
         registerEsnExperiments(*r);
-        registerPerfExperiments(*r);
         registerServeExperiments(*r);
         registerLargeMatrixExperiments(*r);
         registerChaosExperiments(*r);

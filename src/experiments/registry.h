@@ -43,7 +43,6 @@ void registerFigureExperiments(Registry &registry);     //!< fig05-09, tab1
 void registerLargeScaleExperiments(Registry &registry); //!< fig10-12, ablation, serial-vs-parallel, CGRA
 void registerBaselineExperiments(Registry &registry);   //!< fig13-23
 void registerEsnExperiments(Registry &registry);        //!< ESN scenarios
-void registerPerfExperiments(Registry &registry);       //!< sim_throughput
 void registerServeExperiments(Registry &registry);      //!< serving_throughput
 void registerLargeMatrixExperiments(Registry &registry); //!< large_matrix
 void registerChaosExperiments(Registry &registry);       //!< chaos

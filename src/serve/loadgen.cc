@@ -703,10 +703,6 @@ LoadGenResult::toJson(const LoadGenOptions &options) const
     out << "  \"kernel\": "
         << jsonQuote(core::resolvedKernel(options.serve.sim).name)
         << ",\n";
-    out << "  \"activity_gating\": "
-        << (options.serve.sim.activityGating ? "true" : "false") << ",\n";
-    out << "  \"segment_kib\": " << options.serve.sim.segmentKib
-        << ",\n";
     out << "  \"seed\": " << options.seed << ",\n";
     out << "  \"qps_target\": " << jsonReal(options.qps) << ",\n";
     out << "  \"completed\": " << completed << ",\n";

@@ -399,19 +399,13 @@ Server::executeGroup(const core::TiledDesign &design, Group group)
     // pool's group-level parallelism — except across tiles, where the
     // strips are independent and a multi-tile design would otherwise
     // serialize its strips on one core.  The engine sizes its
-    // lane-words to the dispatched SIMD kernel and this group's padded
-    // size, so a full 256-lane group is one AVX2 pass instead of four.
+    // lane-words to this group's padded size, so a full 256-lane group
+    // is one W=4 pass per tile instead of four.
     core::SimOptions sim = options_.sim;
     sim.threads = design.tiled() ? options_.workers : 1;
-    core::SimOptions pass_sim = sim;
-    pass_sim.threads = 1;
-    std::size_t passes = 0;
-    for (std::size_t i = 0; i < design.tileCount(); ++i) {
-        const std::size_t pass_lanes =
-            64 * core::resolvedLaneWords(design.tile(i), pass_sim,
-                                         padded);
-        passes += (padded + pass_lanes - 1) / pass_lanes;
-    }
+    const std::size_t pass_lanes = 64 * core::resolvedLaneWords(sim, padded);
+    const std::size_t passes =
+        design.tileCount() * ((padded + pass_lanes - 1) / pass_lanes);
     core::BatchStats engine_stats;
     const IntMatrix out =
         design.multiplyBatchWide(batch, sim, &engine_stats);

@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -59,20 +60,31 @@ makeKitchenSinkNetlist()
     return nl;
 }
 
+/** The plan's Segmentation at the engine's budget for W. */
+template <unsigned W>
+std::shared_ptr<const circuit::Segmentation>
+segmentationOf(const circuit::ExecPlan &plan)
+{
+    return plan.segmentation(circuit::Segmentation::opsForBudget(W));
+}
+
 /**
  * Drive a BlockSimulator<W> on one kernel and W independent
  * WideSimulators with the same per-lane-word streams; every node must
  * agree every cycle, and the block toggle total must equal the sum of
- * the per-word totals.
+ * the per-word totals.  The input changes every cycle, so the gated
+ * simulator runs its dense cycles throughout, as the forced-dense one
+ * does by construction.
  */
 template <unsigned W>
 void
 checkAgainstWideLanes(std::uint64_t seed,
-                      const circuit::kernels::Kernel *kernel)
+                      const circuit::kernels::Kernel *kernel, bool gating)
 {
     const auto nl = makeKitchenSinkNetlist();
     const circuit::ExecPlan plan(nl);
-    circuit::BlockSimulator<W> block(plan, kernel);
+    circuit::BlockSimulator<W> block(plan, segmentationOf<W>(plan), kernel,
+                                     gating);
     std::vector<circuit::WideSimulator> wides(W, circuit::WideSimulator(nl));
 
     Rng rng(seed);
@@ -91,8 +103,9 @@ checkAgainstWideLanes(std::uint64_t seed,
             wides[w].step(words);
             for (circuit::NodeId id = 0; id < nl.numNodes(); ++id) {
                 ASSERT_EQ(block.outputWord(id, w), wides[w].outputWord(id))
-                    << "kernel " << block.kernel().name << " cycle " << t
-                    << " word " << w << " node " << id;
+                    << "kernel " << block.kernel().name << " gating "
+                    << gating << " cycle " << t << " word " << w
+                    << " node " << id;
             }
         }
         block.commit();
@@ -102,17 +115,22 @@ checkAgainstWideLanes(std::uint64_t seed,
     for (const auto &wide : wides)
         wide_toggles += wide.toggleCount();
     EXPECT_EQ(block.toggleCount(), wide_toggles)
-        << "kernel " << block.kernel().name;
+        << "kernel " << block.kernel().name << " gating " << gating;
     EXPECT_EQ(block.cycle(), static_cast<std::uint64_t>(cycles));
+    EXPECT_EQ(block.segmentsSkipped(), 0u);
 }
 
-/** Run the wide-lane check at W on every kernel this CPU supports. */
+/**
+ * Run the wide-lane check at W on every kernel this CPU supports,
+ * gated and forced-dense.
+ */
 template <unsigned W>
 void
 checkAgainstWideLanesAllKernels(std::uint64_t seed)
 {
     for (const auto *kernel : circuit::kernels::supportedKernels())
-        checkAgainstWideLanes<W>(seed, kernel);
+        for (const bool gating : {true, false})
+            checkAgainstWideLanes<W>(seed, kernel, gating);
 }
 
 TEST(BlockSimulator, MatchesWideSimulatorEveryLaneWordW1)
@@ -139,7 +157,7 @@ TEST(BlockSimulator, MatchesScalarSimulatorPerLane)
 {
     const auto nl = makeKitchenSinkNetlist();
     const circuit::ExecPlan plan(nl);
-    circuit::BlockSimulator<2> block(plan);
+    circuit::BlockSimulator<2> block(plan, segmentationOf<2>(plan));
     std::vector<circuit::Simulator> scalars;
     const int lanes_checked = 8;
     for (int l = 0; l < lanes_checked; ++l)
@@ -178,7 +196,7 @@ TEST(BlockSimulator, ResetRestoresPowerOnState)
 {
     const auto nl = makeKitchenSinkNetlist();
     const circuit::ExecPlan plan(nl);
-    circuit::BlockSimulator<1> sim(plan);
+    circuit::BlockSimulator<1> sim(plan, segmentationOf<1>(plan));
 
     std::vector<std::uint64_t> ones(nl.numInputPorts(), ~std::uint64_t{0});
     sim.step(ones.data(), ones.size());
@@ -239,7 +257,7 @@ checkBatchEquivalence(const IntMatrix &weights, CompileOptions options,
 
         // Every explicit W on every supported kernel, including the
         // widths where a vector kernel falls back to its scalar tail,
-        // with activity gating both on (the default) and off.
+        // gated (the default) and forced-dense.
         for (const unsigned lane_words : {1u, 2u, 4u, 8u}) {
             for (const auto *kernel :
                  circuit::kernels::supportedKernels()) {
@@ -353,10 +371,8 @@ TEST(Kernels, RegistryAlwaysEndsWithScalar)
     const auto &kernels = circuit::kernels::supportedKernels();
     ASSERT_FALSE(kernels.empty());
     EXPECT_STREQ(kernels.back()->name, "scalar");
-    for (const auto *kernel : kernels) {
-        EXPECT_GE(kernel->vectorWords, 1u);
+    for (const auto *kernel : kernels)
         EXPECT_EQ(circuit::kernels::findKernel(kernel->name), kernel);
-    }
     EXPECT_EQ(circuit::kernels::findKernel("no-such-kernel"), nullptr);
 
     // The dispatched kernel must be one of the supported ones.

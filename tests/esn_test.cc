@@ -324,8 +324,7 @@ TEST(IntReservoirTest, BatchedBackendMatchesReferenceAndCountsCycles)
     // Hardware-cycle accounting: one drain per netlist pass.  The
     // batch above ran ceil(70 / lanes) passes, plus one per single
     // multiply.
-    const auto lanes =
-        64 * core::resolvedLaneWords(batched.design(), {}, xs.rows());
+    const auto lanes = 64 * core::resolvedLaneWords({}, xs.rows());
     const auto groups = (xs.rows() + lanes - 1) / lanes;
     EXPECT_EQ(batched.totalCycles(),
               (groups + 2) * batched.design().drainCycles());

@@ -2,8 +2,8 @@
  * @file
  * Equivalence and invariant suite for segmented, activity-gated tape
  * execution: the gated BlockSimulator must be bit-identical — outputs
- * *and* register toggle counts — to WideSimulator and to the ungated
- * full sweeps at every segment size (including sizes that do not
+ * *and* register toggle counts — to WideSimulator and to forced-dense
+ * execution at every segment size (including sizes that do not
  * divide the tape and a single segment swallowing the whole netlist),
  * for every supported SIMD kernel and lane width, across quiet input
  * phases (where segments skip), active phases (where the dense
@@ -72,8 +72,7 @@ checkGatedAgainstWide(const circuit::Netlist &nl,
 {
     const circuit::ExecPlan plan(nl);
     const auto segmentation = plan.segmentation(ops_per_segment);
-    circuit::BlockSimulator<W> block(plan, kernel, segmentation);
-    ASSERT_TRUE(block.gated());
+    circuit::BlockSimulator<W> block(plan, segmentation, kernel);
     std::vector<circuit::WideSimulator> wides(W,
                                               circuit::WideSimulator(nl));
 
@@ -154,7 +153,7 @@ TEST(Gating, ResetRestoresPowerOnStateAndCounters)
 {
     const auto nl = makeKitchenSinkNetlist();
     const circuit::ExecPlan plan(nl);
-    circuit::BlockSimulator<2> sim(plan, nullptr, plan.segmentation(2));
+    circuit::BlockSimulator<2> sim(plan, plan.segmentation(2));
 
     std::vector<std::uint64_t> ones(nl.numInputPorts() * 2,
                                     ~std::uint64_t{0});
@@ -194,9 +193,10 @@ TEST(Gating, ResetRestoresPowerOnStateAndCounters)
 // ---------------------------------------------------------------------
 
 /**
- * Gated and ungated multiplyBatchWide must agree with the scalar
- * reference for every kernel and several segment sizes, on batches
- * that do not divide the lane count.
+ * Gated and forced-dense multiplyBatchWide must agree with the scalar
+ * reference for every kernel and several lane widths, on batches that
+ * do not divide the lane count.  (Segment sizes down to one op per
+ * segment are covered at the BlockSimulator level above.)
  */
 void
 checkGatedBatchEquivalence(const IntMatrix &weights,
@@ -216,25 +216,18 @@ checkGatedBatchEquivalence(const IntMatrix &weights,
 
     const auto scalar = design.multiplyBatch(batch);
     for (const auto *kernel : circuit::kernels::supportedKernels()) {
-        for (const unsigned segment_kib : {1u, 4u, 64u, 4096u}) {
-            for (const unsigned lane_words : {1u, 4u, 8u}) {
+        for (const unsigned lane_words : {1u, 4u, 8u}) {
+            for (const bool gating : {true, false}) {
                 SimOptions sim;
                 sim.threads = 1;
                 sim.kernel = kernel;
                 sim.laneWords = lane_words;
-                sim.activityGating = true;
-                sim.segmentKib = segment_kib;
+                sim.activityGating = gating;
                 ASSERT_EQ(scalar, design.multiplyBatchWide(batch, sim))
-                    << "kernel " << kernel->name << " segKib "
-                    << segment_kib << " W " << lane_words;
+                    << "kernel " << kernel->name << " W " << lane_words
+                    << " gating " << gating;
             }
         }
-        SimOptions ungated;
-        ungated.threads = 1;
-        ungated.kernel = kernel;
-        ungated.activityGating = false;
-        ASSERT_EQ(scalar, design.multiplyBatchWide(batch, ungated))
-            << "kernel " << kernel->name;
     }
 
     // Auto knobs (gating defaults on), threaded.
@@ -286,14 +279,12 @@ TEST(Gating, ToggleCountsInvariantUnderGating)
     const auto probe = makeSignedBatch(48, 20, 8, rng);
 
     SimOptions gated;
-    gated.activityGating = true;
-    SimOptions ungated;
-    ungated.activityGating = false;
+    SimOptions dense;
+    dense.activityGating = false;
     // measuredActivity is toggles / (bits * cycles * lanes): equality
     // of the ratio at identical shape means identical toggle totals.
     EXPECT_DOUBLE_EQ(core::measureSwitchingActivity(design, probe, gated),
-                     core::measureSwitchingActivity(design, probe,
-                                                    ungated));
+                     core::measureSwitchingActivity(design, probe, dense));
 }
 
 TEST(Gating, SkippedSegmentsReportedByBatchStats)
@@ -307,18 +298,27 @@ TEST(Gating, SkippedSegmentsReportedByBatchStats)
 
     SimOptions gated;
     gated.threads = 2;
-    gated.activityGating = true;
+    gated.laneWords = 2; // 130 rows: two groups
     core::BatchStats stats;
     (void)core::runBatchWide(design, batch, gated, &stats);
     EXPECT_GT(stats.segmentsExecuted, 0u);
     EXPECT_GT(stats.segmentsSkipped, 0u);
 
-    SimOptions ungated;
-    ungated.activityGating = false;
-    core::BatchStats off;
-    (void)core::runBatchWide(design, batch, ungated, &off);
-    EXPECT_EQ(off.segmentsExecuted, 0u);
-    EXPECT_EQ(off.segmentsSkipped, 0u);
+    // Forced-dense executes every segment of both groups every cycle.
+    SimOptions dense = gated;
+    dense.activityGating = false;
+    core::BatchStats all;
+    (void)core::runBatchWide(design, batch, dense, &all);
+    const std::size_t segments =
+        design.plan()
+            .segmentation(circuit::Segmentation::opsForBudget(2))
+            ->segments()
+            .size();
+    EXPECT_EQ(all.segmentsExecuted,
+              std::uint64_t{2} * design.drainCycles() * segments);
+    EXPECT_EQ(all.segmentsSkipped, 0u);
+    EXPECT_EQ(stats.segmentsExecuted + stats.segmentsSkipped,
+              all.segmentsExecuted);
 }
 
 TEST(Gating, TapeGemvGatedMatchesScalarAndCountsSegments)
@@ -329,9 +329,7 @@ TEST(Gating, TapeGemvGatedMatchesScalarAndCountsSegments)
     options.inputBits = 6;
     const auto design = MatrixCompiler(options).compile(v);
 
-    SimOptions gated;
-    gated.activityGating = true;
-    core::TapeGemv gemv(design, gated);
+    core::TapeGemv gemv(design);
     for (int i = 0; i < 4; ++i) {
         const auto x = makeSignedVector(16, 6, rng);
         EXPECT_EQ(gemv.multiply(x), design.multiply(x));
@@ -676,10 +674,12 @@ TEST(Segmentation, OpsForBudgetScalesAndFloors)
 {
     using circuit::Segmentation;
     // 4 slots of W words of 8 bytes per op.
-    EXPECT_EQ(Segmentation::opsForBudget(4, 1), 4u * 1024 / 32);
-    EXPECT_EQ(Segmentation::opsForBudget(4, 8), 4u * 1024 / 256);
-    // Tiny budgets clamp to a sane floor instead of degenerating.
-    EXPECT_EQ(Segmentation::opsForBudget(0, 8), 16u);
+    EXPECT_EQ(Segmentation::opsForBudget(1),
+              Segmentation::kBudgetKib * 1024 / 32);
+    EXPECT_EQ(Segmentation::opsForBudget(4),
+              Segmentation::kBudgetKib * 1024 / 128);
+    // Very wide nodes clamp to a sane floor instead of degenerating.
+    EXPECT_EQ(Segmentation::opsForBudget(1024), 16u);
 }
 
 // ---------------------------------------------------------------------
@@ -688,21 +688,17 @@ TEST(Segmentation, OpsForBudgetScalesAndFloors)
 
 TEST(ResolvedKnobs, ThreadsNeverReportTheAutoSentinel)
 {
-    Rng rng(95);
-    const auto v = makeSignedElementSparseMatrix(16, 16, 6, 0.5, rng);
-    const auto design = MatrixCompiler(CompileOptions{}).compile(v);
-
     SimOptions sim;
     sim.threads = 0; // auto
     // One 64-lane group at most: the resolved count clamps to 1.
-    EXPECT_EQ(core::resolvedThreads(design, sim, 1), 1u);
-    EXPECT_GE(core::resolvedThreads(design, sim, 4096), 1u);
+    EXPECT_EQ(core::resolvedThreads(sim, 1), 1u);
+    EXPECT_GE(core::resolvedThreads(sim, 4096), 1u);
 
     sim.threads = 3;
     sim.laneWords = 1;
     // Explicit threads clamp to the group count (4096 / 64 = 64 > 3).
-    EXPECT_EQ(core::resolvedThreads(design, sim, 4096), 3u);
-    EXPECT_EQ(core::resolvedThreads(design, sim, 64), 1u);
+    EXPECT_EQ(core::resolvedThreads(sim, 4096), 3u);
+    EXPECT_EQ(core::resolvedThreads(sim, 64), 1u);
 }
 
 } // namespace
