@@ -17,7 +17,7 @@
  * ratio for CI smoke runs (skipped on machines without AVX2).
  *
  * The gating section measures what activity gating buys: a controlled
- * ablation that runs the same Segmentation gated and forced-dense
+ * ablation that runs the same ExecPlan gated and forced-dense
  * (every cycle on the dense sweeps) at the gated mode's resolved
  * (kernel, W, threads) configuration, verified bit-exact against the
  * interpreter baseline AND toggle-exact against WideSimulator before
@@ -99,10 +99,8 @@ gatedTogglesMatchWideSimulator(const core::CompiledMatrix &design,
                                const core::SimOptions &options,
                                bool &exact, bool &skipped)
 {
-    const auto &plan = design.plan();
-    circuit::BlockSimulator<W, true> gated(
-        plan, plan.segmentation(circuit::Segmentation::opsForBudget(W)),
-        &core::resolvedKernel(options));
+    circuit::BlockSimulator<W, true> gated(design.plan(),
+                                           &core::resolvedKernel(options));
     std::vector<circuit::WideSimulator> wides(
         W, circuit::WideSimulator(design.netlist()));
 

@@ -9,10 +9,10 @@
  *   spatial-lint --all-registry [--max_dim N] [--json]
  *       Sweep every distinct (dim, sparsity) the experiment registry's
  *       grids name (capped at --max_dim, default 256), compile each
- *       under every sign mode, and verify every layer — netlist, plan,
- *       segmentation, and tile partition.  One forced-tiling case
- *       rides along so the tile layer is exercised even when every
- *       registry design fits a single tile.
+ *       under every sign mode, and verify every layer — netlist, the
+ *       segmented execution plan, and tile partition.  One
+ *       forced-tiling case rides along so the tile layer is exercised
+ *       even when every registry design fits a single tile.
  *
  *   spatial-lint --design DIM,SPARSITY[,SIGN] [--json]
  *       Compile and verify one design (SIGN: unsigned/pn/csd).

@@ -46,8 +46,6 @@ layerName(Layer layer)
         return "compile";
       case Layer::Netlist:
         return "netlist";
-      case Layer::Plan:
-        return "plan";
       case Layer::Segmentation:
         return "segmentation";
       case Layer::Tile:
@@ -146,33 +144,20 @@ NetlistView::of(const circuit::Netlist &netlist)
     return v;
 }
 
-PlanView
-PlanView::of(const ExecPlan &plan)
-{
-    PlanView v;
-    v.numNodes = plan.numNodes();
-    v.numInputPorts = plan.numInputPorts();
-    v.comb = plan.comb();
-    v.inputs = plan.inputs();
-    v.regs = plan.regs();
-    v.constOnes = plan.constOnes();
-    return v;
-}
-
 SegmentationView
-SegmentationView::of(const circuit::Segmentation &seg,
-                     const ExecPlan &plan)
+SegmentationView::of(const ExecPlan &plan)
 {
     SegmentationView v;
     v.numNodes = plan.numNodes();
-    v.opsPerSegment = seg.opsPerSegment();
-    v.segments = seg.segments();
-    v.comb = seg.comb();
-    v.regs = seg.regs();
-    v.consumers = seg.consumers();
-    v.inputs = seg.inputs();
-    v.constOnes = seg.constOnes();
-    v.slotOf = seg.slotOf();
+    v.numInputPorts = plan.numInputPorts();
+    v.opsPerSegment = plan.opsPerSegment();
+    v.segments = plan.segments();
+    v.comb = plan.comb();
+    v.regs = plan.regs();
+    v.consumers = plan.consumers();
+    v.inputs = plan.inputs();
+    v.constOnes = plan.constOnes();
+    v.slotOf = plan.slotOf();
     return v;
 }
 
@@ -306,187 +291,12 @@ Verifier::checkNetlist(const NetlistView &netlist, Report *report) const
 }
 
 // ---------------------------------------------------------------------
-// Plan checks
-// ---------------------------------------------------------------------
-
-void
-Verifier::checkPlan(const PlanView &plan, const NetlistView *netlist,
-                    Report *report) const
-{
-    const std::size_t numNodes = plan.numNodes;
-    const std::size_t numSlots = plan.numSlots();
-    const auto bad = [&](std::string rule, std::string msg,
-                         std::uint64_t index = kNoIndex) {
-        report->add(Severity::Error, Layer::Plan, std::move(rule),
-                    std::move(msg), index);
-    };
-
-    // Slot ranges plus single-driver bookkeeping.
-    std::vector<std::uint8_t> writers(numSlots, 0);
-    const auto writeSlot = [&](NodeId dst, std::uint64_t index) {
-        if (dst >= numNodes) {
-            bad("PLAN-SLOT-RANGE",
-                "dst slot " + nodeStr(dst) + " is not a node slot",
-                index);
-            return;
-        }
-        if (++writers[dst] == 2)
-            bad("PLAN-DST-UNIQUE",
-                "slot " + nodeStr(dst) + " has more than one driver",
-                index);
-    };
-    const auto readSlot = [&](NodeId src, std::uint64_t index) {
-        if (src >= numSlots)
-            bad("PLAN-SLOT-RANGE",
-                "source slot " + nodeStr(src) + " out of range", index);
-    };
-
-    for (std::size_t i = 0; i < plan.comb.size(); ++i) {
-        const auto &op = plan.comb[i];
-        writeSlot(op.dst, i);
-        readSlot(op.a, i);
-        readSlot(op.b, i);
-        if (i > 0 && plan.comb[i - 1].dst >= op.dst)
-            bad("PLAN-COMB-ORDER",
-                "settle tape dst not strictly ascending", i);
-        for (const NodeId src : {op.a, op.b})
-            if (src < numNodes && src >= op.dst)
-                bad("PLAN-COMB-SRC-SETTLED",
-                    "comb op reads slot " + nodeStr(src) +
-                        " before the tape settles it",
-                    i);
-    }
-
-    for (std::size_t i = 0; i < plan.regs.size(); ++i) {
-        const auto &op = plan.regs[i];
-        writeSlot(op.dst, i);
-        readSlot(op.a, i);
-        readSlot(op.b, i);
-        if (i > 0 && plan.regs[i - 1].dst >= op.dst)
-            bad("PLAN-COMMIT-ORDER",
-                "commit tape dst not strictly ascending", i);
-    }
-
-    for (std::size_t i = 0; i < plan.inputs.size(); ++i) {
-        const auto &in = plan.inputs[i];
-        writeSlot(in.node, i);
-        if (in.port >= plan.numInputPorts)
-            bad("PLAN-INPUT-RANGE",
-                "input op port " + std::to_string(in.port) +
-                    " >= numInputPorts " +
-                    std::to_string(plan.numInputPorts),
-                i);
-    }
-
-    for (std::size_t i = 0; i < plan.constOnes.size(); ++i)
-        writeSlot(plan.constOnes[i], i);
-
-    if (netlist == nullptr)
-        return;
-
-    // Tape coverage against the netlist: every node lands on exactly
-    // the tape its kind demands, in tape order, with the op fields the
-    // ExecPlan constructor derives.
-    if (netlist->kinds.size() != numNodes) {
-        bad("PLAN-COVERAGE",
-            "plan has " + std::to_string(numNodes) +
-                " nodes, netlist has " +
-                std::to_string(netlist->kinds.size()));
-        return;
-    }
-    // Cursors into the comb, regs, inputs and constOnes tapes, all in
-    // ascending id order.
-    std::size_t ci = 0;
-    std::size_t ri = 0;
-    std::size_t ii = 0;
-    std::size_t oi = 0;
-    const auto n = static_cast<NodeId>(numNodes);
-    for (NodeId id = 0; id < n; ++id) {
-        if (static_cast<std::uint8_t>(netlist->kinds[id]) > kMaxKind)
-            return; // checkNetlist already reported it
-        const CompKind kind = netlist->kinds[id];
-        const NodeId a = netlist->srcA[id];
-        const NodeId b = netlist->srcB[id];
-        switch (kind) {
-          case CompKind::Const0:
-            break;
-          case CompKind::Const1:
-            if (oi >= plan.constOnes.size() ||
-                plan.constOnes[oi++] != id)
-                bad("PLAN-COVERAGE",
-                    "Const1 node missing from constOnes", id);
-            break;
-          case CompKind::Input:
-            if (ii >= plan.inputs.size() ||
-                plan.inputs[ii].node != id)
-                bad("PLAN-COVERAGE",
-                    "Input node missing from the input tape", id);
-            else if (plan.inputs[ii].port != a)
-                bad("PLAN-OP-FORM",
-                    "input op port does not match the netlist", id);
-            if (ii < plan.inputs.size())
-                ++ii;
-            break;
-          case CompKind::Not:
-          case CompKind::And: {
-            if (ci >= plan.comb.size() || plan.comb[ci].dst != id) {
-                bad("PLAN-COVERAGE",
-                    "comb node missing from the settle tape", id);
-                break;
-            }
-            const auto &op = plan.comb[ci++];
-            const bool formOk =
-                kind == CompKind::Not
-                    ? op.a == a && op.b == plan.onesSlot() &&
-                          op.inv == ~std::uint64_t{0}
-                    : op.a == a && op.b == b && op.inv == 0;
-            if (!formOk)
-                bad("PLAN-OP-FORM",
-                    "comb op fields do not encode the netlist op", id);
-            break;
-          }
-          case CompKind::Dff:
-          case CompKind::Adder:
-          case CompKind::Sub: {
-            if (ri >= plan.regs.size() || plan.regs[ri].dst != id) {
-                bad("PLAN-COVERAGE",
-                    "register node missing from the commit tape", id);
-                break;
-            }
-            const auto &op = plan.regs[ri++];
-            bool formOk = op.a == a;
-            if (kind == CompKind::Dff)
-                formOk = formOk && op.b == plan.zeroSlot() &&
-                         op.bInv == 0 && op.carryInit == 0;
-            else if (kind == CompKind::Adder)
-                formOk = formOk && op.b == b && op.bInv == 0 &&
-                         op.carryInit == 0;
-            else
-                formOk = formOk && op.b == b &&
-                         op.bInv == ~std::uint64_t{0} &&
-                         op.carryInit != 0;
-            if (!formOk)
-                bad("PLAN-OP-FORM",
-                    "reg op fields do not encode the netlist op", id);
-            break;
-          }
-        }
-    }
-    if (ci != plan.comb.size() || ri != plan.regs.size() ||
-        ii != plan.inputs.size() || oi != plan.constOnes.size())
-        bad("PLAN-COVERAGE",
-            "tapes carry ops no netlist node accounts for");
-    if (netlist->numInputPorts != plan.numInputPorts)
-        bad("PLAN-COVERAGE",
-            "plan and netlist disagree on numInputPorts");
-}
-
-// ---------------------------------------------------------------------
-// Segmentation checks
+// Segmented schedule checks
 // ---------------------------------------------------------------------
 
 void
 Verifier::checkSegmentation(const SegmentationView &seg,
+                            const NetlistView *netlist,
                             Report *report) const
 {
     const std::size_t numNodes = seg.numNodes;
@@ -626,10 +436,17 @@ Verifier::checkSegmentation(const SegmentationView &seg,
     }
 
     // Inputs and constants live in the non-op front of the slot space.
-    for (std::size_t i = 0; i < seg.inputs.size(); ++i)
+    for (std::size_t i = 0; i < seg.inputs.size(); ++i) {
         if (seg.inputs[i].node >= opBase)
             bad("SEG-INPUT-RANGE",
                 "input slot collides with the op-slot space", i);
+        if (seg.inputs[i].port >= seg.numInputPorts)
+            bad("SEG-INPUT-RANGE",
+                "input op port " + std::to_string(seg.inputs[i].port) +
+                    " >= numInputPorts " +
+                    std::to_string(seg.numInputPorts),
+                i);
+    }
     for (std::size_t i = 0; i < seg.constOnes.size(); ++i)
         if (seg.constOnes[i] >= opBase)
             bad("SEG-INPUT-RANGE",
@@ -715,6 +532,119 @@ Verifier::checkSegmentation(const SegmentationView &seg,
         compare(regReaders[s], sg.regConsumersBegin,
                 sg.regConsumersEnd, "reg");
     }
+
+    if (netlist == nullptr)
+        return;
+
+    // Netlist coverage through slotOf (a permutation by now): every
+    // node's slot carries exactly the op, input drive or constant its
+    // kind demands, with the op fields the ExecPlan builder derives.
+    if (netlist->kinds.size() != numNodes) {
+        bad("SEG-COVERAGE",
+            "plan has " + std::to_string(numNodes) +
+                " nodes, netlist has " +
+                std::to_string(netlist->kinds.size()));
+        return;
+    }
+    if (netlist->numInputPorts != seg.numInputPorts)
+        bad("SEG-COVERAGE", "plan and netlist disagree on numInputPorts");
+    std::vector<std::uint32_t> combAt(numSlots, kUnowned);
+    std::vector<std::uint32_t> regAt(numSlots, kUnowned);
+    for (std::size_t i = 0; i < seg.comb.size(); ++i)
+        if (seg.comb[i].dst < numSlots)
+            combAt[seg.comb[i].dst] = static_cast<std::uint32_t>(i);
+    for (std::size_t i = 0; i < seg.regs.size(); ++i)
+        if (seg.regs[i].dst < numSlots)
+            regAt[seg.regs[i].dst] = static_cast<std::uint32_t>(i);
+    // A netlist source in slot space; a source that is not a node
+    // (checkNetlist reports it) matches no op field.
+    const auto slotOfSrc = [&](NodeId src) {
+        return src < numNodes ? seg.slotOf[src] : kNoNode;
+    };
+    const auto onesSlot = static_cast<NodeId>(numNodes);
+    const auto zeroSlot = static_cast<NodeId>(numNodes + 1);
+    // Inputs and constants are listed in ascending node-id order.
+    std::size_t ii = 0;
+    std::size_t oi = 0;
+    std::size_t claimed = 0;
+    const auto n = static_cast<NodeId>(numNodes);
+    for (NodeId id = 0; id < n; ++id) {
+        if (static_cast<std::uint8_t>(netlist->kinds[id]) > kMaxKind)
+            return; // checkNetlist already reported it
+        const CompKind kind = netlist->kinds[id];
+        const NodeId slot = seg.slotOf[id];
+        const NodeId a = slotOfSrc(netlist->srcA[id]);
+        const NodeId b = slotOfSrc(netlist->srcB[id]);
+        switch (kind) {
+          case CompKind::Const0:
+            if (combAt[slot] != kUnowned || regAt[slot] != kUnowned)
+                bad("SEG-COVERAGE", "an op writes a Const0 node's slot",
+                    id);
+            break;
+          case CompKind::Const1:
+            if (oi >= seg.constOnes.size() ||
+                seg.constOnes[oi++] != slot)
+                bad("SEG-COVERAGE", "Const1 node missing from constOnes",
+                    id);
+            break;
+          case CompKind::Input:
+            if (ii >= seg.inputs.size() || seg.inputs[ii].node != slot)
+                bad("SEG-COVERAGE",
+                    "Input node missing from the input tape", id);
+            else if (seg.inputs[ii].port != netlist->srcA[id])
+                bad("SEG-OP-FORM",
+                    "input op port does not match the netlist", id);
+            if (ii < seg.inputs.size())
+                ++ii;
+            break;
+          case CompKind::Not:
+          case CompKind::And: {
+            if (combAt[slot] == kUnowned) {
+                bad("SEG-COVERAGE", "comb node has no settle op", id);
+                break;
+            }
+            ++claimed;
+            const auto &op = seg.comb[combAt[slot]];
+            const bool formOk =
+                kind == CompKind::Not
+                    ? op.a == a && op.b == onesSlot &&
+                          op.inv == ~std::uint64_t{0}
+                    : op.a == a && op.b == b && op.inv == 0;
+            if (!formOk)
+                bad("SEG-OP-FORM",
+                    "comb op fields do not encode the netlist op", id);
+            break;
+          }
+          case CompKind::Dff:
+          case CompKind::Adder:
+          case CompKind::Sub: {
+            if (regAt[slot] == kUnowned) {
+                bad("SEG-COVERAGE", "register node has no commit op", id);
+                break;
+            }
+            ++claimed;
+            const auto &op = seg.regs[regAt[slot]];
+            bool formOk = op.a == a;
+            if (kind == CompKind::Dff)
+                formOk = formOk && op.b == zeroSlot && op.bInv == 0 &&
+                         op.carryInit == 0;
+            else if (kind == CompKind::Adder)
+                formOk = formOk && op.b == b && op.bInv == 0 &&
+                         op.carryInit == 0;
+            else
+                formOk = formOk && op.b == b &&
+                         op.bInv == ~std::uint64_t{0} &&
+                         op.carryInit != 0;
+            if (!formOk)
+                bad("SEG-OP-FORM",
+                    "reg op fields do not encode the netlist op", id);
+            break;
+          }
+        }
+    }
+    if (claimed != totalOps || ii != seg.inputs.size() ||
+        oi != seg.constOnes.size())
+        bad("SEG-COVERAGE", "tapes carry ops no netlist node accounts for");
 }
 
 // ---------------------------------------------------------------------
@@ -804,13 +734,8 @@ verifyCompiledMatrix(const core::CompiledMatrix &matrix)
             netlist.outputs.push_back(out.node);
     verifier.checkNetlist(netlist, &report);
 
-    const ExecPlan &plan = matrix.plan();
-    const PlanView planView = PlanView::of(plan);
-    verifier.checkPlan(planView, &netlist, &report);
-
-    const auto seg =
-        plan.segmentation(circuit::Segmentation::opsForBudget(1));
-    verifier.checkSegmentation(SegmentationView::of(*seg, plan), &report);
+    verifier.checkSegmentation(SegmentationView::of(matrix.plan()),
+                               &netlist, &report);
     return report;
 }
 

@@ -2,14 +2,14 @@
  * @file
  * Static verification of every compiled artifact the engine produces.
  *
- * Each layer of the compilation pipeline — Netlist, ExecPlan,
- * Segmentation, TilePlan, and the `.sptd` serialization — carries
+ * Each layer of the compilation pipeline — Netlist, the segmented
+ * ExecPlan, TilePlan, and the `.sptd` serialization — carries
  * invariants the executors *assume* rather than re-check on the hot
  * path (SSA source ordering, hazard-free commit order, exact segment
  * partitions, slot bookkeeping, ...).  This verifier re-derives every
  * one of those invariants from first principles and checks an
  * artifact against them **without executing it**.  A violation names
- * the exact rule (a stable `NET-*` / `PLAN-*` / `SEG-*` / `TILE-*` /
+ * the exact rule (a stable `NET-*` / `SEG-*` / `TILE-*` /
  * `FILE-*` / `COMPILE-*` id) plus the offending op/slot index, so a
  * corrupted store file, a hostile remote registration, or a compiler
  * regression is diagnosed in one line instead of as a downstream
@@ -68,8 +68,7 @@ enum class Layer : std::uint8_t
 {
     Compile,      //!< compile request preconditions (checkCompile)
     Netlist,      //!< circuit::Netlist well-formedness
-    Plan,         //!< circuit::ExecPlan schedule legality
-    Segmentation, //!< circuit::Segmentation invariants
+    Segmentation, //!< circuit::ExecPlan segmented schedule (SEG-*)
     Tile,         //!< core::TilePlan / TiledDesign invariants
     File,         //!< .sptd container (magic/version/checksum/key)
 };
@@ -77,7 +76,7 @@ enum class Layer : std::uint8_t
 /** Printable name of a severity ("warning" / "error"). */
 const char *severityName(Severity severity);
 
-/** Printable name of a layer ("netlist", "plan", ...). */
+/** Printable name of a layer ("netlist", "segmentation", ...). */
 const char *layerName(Layer layer);
 
 /** Index value meaning "no specific op/slot/tile" in a Diagnostic. */
@@ -88,12 +87,12 @@ struct Diagnostic
 {
     Severity severity = Severity::Error; //!< error or warning
     Layer layer = Layer::Netlist;        //!< artifact layer
-    std::string rule;    //!< stable rule id, e.g. "PLAN-COMMIT-ORDER"
+    std::string rule;    //!< stable rule id, e.g. "SEG-TOPO"
     std::string message; //!< human-readable detail
     /** Offending op/slot/tile/statement index; kNoIndex when global. */
     std::uint64_t index = kNoIndex;
 
-    /** One-line rendering: `error[PLAN-COMMIT-ORDER] op 3: ...`. */
+    /** One-line rendering: `error[SEG-TOPO] at 3: ...`. */
     std::string str() const;
 };
 
@@ -143,45 +142,17 @@ struct NetlistView
     static NetlistView of(const circuit::Netlist &netlist);
 };
 
-/** Plain-data snapshot of an ExecPlan.  Mutable by tests. */
-struct PlanView
-{
-    std::size_t numNodes = 0;      //!< value slots below ones/zero
-    std::size_t numInputPorts = 0; //!< dense port count
-    std::vector<circuit::ExecPlan::CombOp> comb;   //!< settle tape
-    std::vector<circuit::ExecPlan::InputOp> inputs; //!< input drives
-    std::vector<circuit::ExecPlan::RegOp> regs;    //!< commit tape
-    std::vector<circuit::NodeId> constOnes;        //!< Const1 slots
-
-    /** The all-ones slot index (numNodes). */
-    circuit::NodeId onesSlot() const
-    {
-        return static_cast<circuit::NodeId>(numNodes);
-    }
-
-    /** The all-zeros slot index (numNodes + 1). */
-    circuit::NodeId zeroSlot() const
-    {
-        return static_cast<circuit::NodeId>(numNodes + 1);
-    }
-
-    /** Total value slots including ones/zero (numNodes + 2). */
-    std::size_t numSlots() const { return numNodes + 2; }
-
-    /** Snapshot a live plan. */
-    static PlanView of(const circuit::ExecPlan &plan);
-};
-
 /**
- * Plain-data snapshot of a Segmentation (op tapes in renumbered slot
- * space, segment table, consumer index, slot permutation).  Mutable
- * by tests.
+ * Plain-data snapshot of an ExecPlan's segmented schedule (op tapes
+ * in slot space, segment table, consumer index, slot permutation).
+ * Mutable by tests.
  */
 struct SegmentationView
 {
     std::size_t numNodes = 0;      //!< slot-space size below ones/zero
+    std::size_t numInputPorts = 0; //!< dense port count
     std::size_t opsPerSegment = 0; //!< chunking budget
-    std::vector<circuit::Segmentation::Segment> segments; //!< table
+    std::vector<circuit::ExecPlan::Segment> segments; //!< table
     std::vector<circuit::ExecPlan::CombOp> comb; //!< schedule order
     std::vector<circuit::ExecPlan::RegOp> regs;  //!< schedule order
     std::vector<std::uint32_t> consumers; //!< packed wake lists
@@ -189,9 +160,8 @@ struct SegmentationView
     std::vector<circuit::NodeId> constOnes;         //!< slot space
     std::vector<circuit::NodeId> slotOf; //!< node id -> slot
 
-    /** Snapshot a live segmentation (numNodes from its plan). */
-    static SegmentationView of(const circuit::Segmentation &seg,
-                               const circuit::ExecPlan &plan);
+    /** Snapshot a live plan. */
+    static SegmentationView of(const circuit::ExecPlan &plan);
 };
 
 /** Plain-data snapshot of a TiledDesign's column partition. */
@@ -222,15 +192,13 @@ class Verifier
     void checkNetlist(const NetlistView &netlist, Report *report) const;
 
     /**
-     * ExecPlan schedule legality: PLAN-* rules.  `netlist` non-null
-     * additionally reconciles the tapes against the netlist (coverage,
-     * op forms); null checks the plan's internal invariants alone.
+     * Segmented schedule invariants: SEG-* rules.  `netlist` non-null
+     * additionally reconciles the tapes against the netlist through
+     * slotOf (SEG-COVERAGE, SEG-OP-FORM); null checks the schedule's
+     * internal invariants alone.
      */
-    void checkPlan(const PlanView &plan, const NetlistView *netlist,
-                   Report *report) const;
-
-    /** Segmentation invariants: SEG-* rules. */
     void checkSegmentation(const SegmentationView &seg,
+                           const NetlistView *netlist,
                            Report *report) const;
 
     /** Tile partition invariants: TILE-* rules. */
@@ -246,9 +214,10 @@ Report verifyCompileRequest(const core::CompileOptions &options,
                             const IntMatrix &weights);
 
 /**
- * Verify one compiled tile end to end: netlist (with its output
- * columns), plan-vs-netlist, and the W=1 Segmentation.  Executes
- * nothing.
+ * Verify one compiled tile end to end: its netlist (with its output
+ * columns) and the executed plan, matrix.plan() — the one schedule
+ * BlockSimulator runs at every lane width — including its
+ * reconciliation against the netlist.  Executes nothing.
  */
 Report verifyCompiledMatrix(const core::CompiledMatrix &matrix);
 

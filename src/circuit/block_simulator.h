@@ -2,7 +2,7 @@
  * @file
  * Tape-driven, >64-lane netlist simulator.
  *
- * BlockSimulator<W> executes a plan's Segmentation over W consecutive
+ * BlockSimulator<W> executes a segmented ExecPlan over W consecutive
  * 64-bit lane-words per node, evaluating the same netlist for up to
  * 64*W independent input vectors per step (W=1 matches WideSimulator's
  * 64 lanes; W=4 gives 256, W=8 gives 512).  The settle and commit
@@ -11,7 +11,8 @@
  * or injected by the caller to pin a specific dispatch target (the
  * equivalence suite cross-checks every one).
  *
- * There is one schedule, the Segmentation, run in two kinds of cycle:
+ * Every W runs the same schedule, the plan's segments, in two kinds of
+ * cycle:
  *
  *  - **Gated cycles.**  settle() runs one fused pass over the
  *    segments, settling each segment's comb ops and computing its
@@ -25,7 +26,7 @@
  *    pending next states into the value array.
  *  - **Dense cycles.**  While the driven inputs are changing, gating
  *    is pure overhead, so the cycle runs one full settle sweep and one
- *    in-place commit over the whole segmentation instead.  Passing
+ *    in-place commit over the whole plan instead.  Passing
  *    `activityGating = false` forces every cycle dense; that mode
  *    exists only as a bench and test reference for the gated one.
  *
@@ -56,7 +57,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -82,25 +82,23 @@ class BlockSimulator
     static constexpr unsigned kLanes = 64 * W;
 
     /**
-     * Bind to a plan and its Segmentation; the plan must outlive the
-     * simulator.  The sweeps run on `kernel` (default: the
-     * runtime-detected process kernel).  `activityGating = false`
-     * forces every cycle dense (see the file comment).
+     * Bind to a plan; the plan must outlive the simulator.  The sweeps
+     * run on `kernel` (default: the runtime-detected process kernel).
+     * `activityGating = false` forces every cycle dense (see the file
+     * comment).
      */
     BlockSimulator(const ExecPlan &plan,
-                   std::shared_ptr<const Segmentation> segmentation,
                    const kernels::Kernel *kernel = nullptr,
                    bool activityGating = true)
         : plan_(plan),
           kernel_(kernel != nullptr ? *kernel : kernels::activeKernel()),
-          segmentation_(std::move(segmentation)),
           activityGating_(activityGating),
-          slotOf_(segmentation_->slotOf().data()),
+          slotOf_(plan.slotOf().data()),
           cur_(plan.numSlots() * W, 0),
           carry_(plan.regs().size() * W, 0),
-          pending_(segmentation_->regs().size() * W, 0)
+          pending_(plan.regs().size() * W, 0)
     {
-        const std::size_t segments = segmentation_->segments().size();
+        const std::size_t segments = plan.segments().size();
         const std::size_t words = (segments + 63) / 64;
         dirtyNow_.assign(words, 0);
         dirtyNext_.assign(words, 0);
@@ -124,10 +122,10 @@ class BlockSimulator
         std::fill(cur_.begin(), cur_.end(), 0);
         for (unsigned w = 0; w < W; ++w)
             cur_[std::size_t{plan_.onesSlot()} * W + w] = ~std::uint64_t{0};
-        for (const auto node : segmentation_->constOnes())
+        for (const auto node : plan_.constOnes())
             for (unsigned w = 0; w < W; ++w)
                 cur_[std::size_t{node} * W + w] = ~std::uint64_t{0};
-        const auto &regs = segmentation_->regs();
+        const auto &regs = plan_.regs();
         for (std::size_t k = 0; k < regs.size(); ++k)
             for (unsigned w = 0; w < W; ++w)
                 carry_[k * W + w] = regs[k].carryInit;
@@ -156,10 +154,10 @@ class BlockSimulator
     {
         const std::uint64_t input_change =
             driveInputs(input_words, num_ports);
-        const auto &segments = segmentation_->segments();
-        const auto *comb = segmentation_->comb().data();
-        const auto *regs = segmentation_->regs().data();
-        const auto *consumers = segmentation_->consumers().data();
+        const auto &segments = plan_.segments();
+        const auto *comb = plan_.comb().data();
+        const auto *regs = plan_.regs().data();
+        const auto *consumers = plan_.consumers().data();
 
         // While the driven inputs are still changing, essentially the
         // whole circuit is active and per-segment gating is pure
@@ -182,7 +180,7 @@ class BlockSimulator
                 flipPending_[s] = 0;
                 flipSegment(segments[s], regs);
             }
-            const auto &all_comb = segmentation_->comb();
+            const auto &all_comb = plan_.comb();
             kernel_.settle(all_comb.data(), all_comb.size(), cur_.data(),
                            W);
             segmentsExecuted_ += segments.size();
@@ -232,7 +230,7 @@ class BlockSimulator
                 std::countr_zero(dirtyNow_[word]));
             dirtyNow_[word] &= ~(std::uint64_t{1} << bit);
             const std::size_t s = word * 64 + bit;
-            const Segmentation::Segment &seg = segments[s];
+            const ExecPlan::Segment &seg = segments[s];
             ++executed;
 
             // Deferred commit: the segment's pending register states
@@ -316,7 +314,7 @@ class BlockSimulator
             // reg tape in descending slot order.
             denseCycle_ = false;
             wasDense_ = true;
-            const auto &regs = segmentation_->regs();
+            const auto &regs = plan_.regs();
             const std::uint64_t toggles =
                 kernel_.commitReverse(regs.data(), regs.size(), cur_.data(),
                                       carry_.data(), W, CountToggles);
@@ -412,7 +410,7 @@ class BlockSimulator
   private:
     /** Fold a segment's pending register states into the value array. */
     void
-    flipSegment(const Segmentation::Segment &seg,
+    flipSegment(const ExecPlan::Segment &seg,
                 const ExecPlan::RegOp *regs)
     {
         for (std::uint32_t k = seg.regBegin; k < seg.regEnd; ++k) {
@@ -432,7 +430,7 @@ class BlockSimulator
     driveInputs(const std::uint64_t *input_words, std::size_t num_ports)
     {
         std::uint64_t change = 0;
-        for (const auto &in : segmentation_->inputs()) {
+        for (const auto &in : plan_.inputs()) {
             std::uint64_t *dst = &cur_[std::size_t{in.node} * W];
             if (in.port < num_ports) {
                 const std::uint64_t *src = input_words +
@@ -451,9 +449,8 @@ class BlockSimulator
         return change;
     }
 
-    const ExecPlan &plan_;
+    const ExecPlan &plan_;          //!< the schedule
     const kernels::Kernel &kernel_; //!< sweep implementation
-    std::shared_ptr<const Segmentation> segmentation_; //!< the schedule
     const bool activityGating_; //!< false = every cycle dense
     const NodeId *slotOf_;      //!< node id -> value slot
     AlignedWordVector cur_;     //!< numSlots()*W settled values

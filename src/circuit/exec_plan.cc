@@ -5,122 +5,75 @@
 namespace spatial::circuit
 {
 
-ExecPlan::ExecPlan(const Netlist &netlist)
+ExecPlan::ExecPlan(const Netlist &netlist, std::size_t ops_per_segment)
     : numNodes_(netlist.numNodes()),
       numInputPorts_(netlist.numInputPorts()),
-      registerBits_(netlist.registerBits())
+      registerBits_(netlist.registerBits()),
+      opsPerSegment_(std::max<std::size_t>(1, ops_per_segment))
 {
-    comb_.reserve(netlist.countKind(CompKind::Not) +
-                  netlist.countKind(CompKind::And));
-    regs_.reserve(netlist.countKind(CompKind::Dff) +
-                  netlist.countKind(CompKind::Adder) +
-                  netlist.countKind(CompKind::Sub));
-    inputs_.reserve(netlist.countKind(CompKind::Input));
-    constOnes_.reserve(netlist.countKind(CompKind::Const1));
-    const auto n = static_cast<NodeId>(numNodes_);
-    for (NodeId id = 0; id < n; ++id) {
+    const std::size_t num_slots = numSlots();
+    const auto num_nodes = static_cast<NodeId>(numNodes_);
+    const auto isComb = [](CompKind kind) {
+        return kind == CompKind::Not || kind == CompKind::And;
+    };
+    const auto isReg = [](CompKind kind) {
+        return kind == CompKind::Dff || kind == CompKind::Adder ||
+               kind == CompKind::Sub;
+    };
+    // An op's second source in id space: NOT reads the ones slot and a
+    // DFF the zero slot, which keep their indices in slot space too.
+    const auto srcB = [&](NodeId id) {
         switch (netlist.kind(id)) {
-          case CompKind::Const0:
-            // Value slots power on to zero and nothing ever writes a
-            // Const0 slot, so the tape carries no op for it.
-            break;
-          case CompKind::Const1:
-            constOnes_.push_back(id);
-            break;
-          case CompKind::Input:
-            inputs_.push_back(InputOp{id, netlist.inputPort(id)});
-            break;
           case CompKind::Not:
-            comb_.push_back(
-                CombOp{id, netlist.srcA(id), onesSlot(), ~std::uint64_t{0}});
-            break;
-          case CompKind::And:
-            comb_.push_back(
-                CombOp{id, netlist.srcA(id), netlist.srcB(id), 0});
-            break;
+            return onesSlot();
           case CompKind::Dff:
-            regs_.push_back(
-                RegOp{id, netlist.srcA(id), zeroSlot(), 0, 0});
-            break;
-          case CompKind::Adder:
-            regs_.push_back(
-                RegOp{id, netlist.srcA(id), netlist.srcB(id), 0, 0});
-            break;
-          case CompKind::Sub:
-            regs_.push_back(RegOp{id, netlist.srcA(id), netlist.srcB(id),
-                                  ~std::uint64_t{0}, ~std::uint64_t{0}});
-            break;
+            return zeroSlot();
+          default:
+            return netlist.srcB(id);
         }
-    }
-}
+    };
 
-std::shared_ptr<const Segmentation>
-ExecPlan::segmentation(std::size_t ops_per_segment) const
-{
-    ops_per_segment = std::max<std::size_t>(1, ops_per_segment);
-    std::lock_guard<std::mutex> lock(segmentationMutex_);
-    auto &slot = segmentations_[ops_per_segment];
-    if (slot == nullptr)
-        slot = std::make_shared<const Segmentation>(*this, ops_per_segment);
-    return slot;
-}
-
-std::size_t
-Segmentation::opsForBudget(unsigned lane_words)
-{
-    const std::size_t op_bytes =
-        4 * sizeof(std::uint64_t) * std::max(1u, lane_words);
-    return std::max<std::size_t>(16, kBudgetKib * 1024 / op_bytes);
-}
-
-Segmentation::Segmentation(const ExecPlan &plan, std::size_t ops_per_segment)
-    : opsPerSegment_(std::max<std::size_t>(1, ops_per_segment))
-{
-    const auto &plan_comb = plan.comb();
-    const auto &plan_regs = plan.regs();
-    const std::size_t num_slots = plan.numSlots();
-    const auto num_nodes = static_cast<NodeId>(plan.numNodes());
-
-    // Register depth per slot (== bit-serial stream latency): inputs
+    // Register depth per node (== bit-serial stream latency): inputs
     // and constants are 0, registers are one past their deepest source,
-    // comb ops propagate within the cycle.  Both tapes are sorted by
-    // ascending dst and every source id is below its dst, so one
-    // ascending id walk resolves all depths.
+    // comb ops propagate within the cycle.  The netlist is in SSA
+    // order (every source id is below its consumer), so one ascending
+    // id walk resolves all depths.
     //
-    // The same walk renumbers the value slots that no op writes
-    // (inputs and constants, never written by a sweep): they keep the
-    // front of the slot space in id order.
+    // The same walk numbers the value slots that no op writes (inputs
+    // and constants, never written by a sweep): they keep the front of
+    // the slot space in id order, and their input and Const1 lists are
+    // emitted here.  Const0 needs no entry: value slots power on to
+    // zero and nothing ever writes a Const0 slot.
     std::vector<std::uint32_t> depth(num_slots, 0);
     std::vector<std::uint32_t> ops_at_depth;
     slotOf_.assign(num_slots, 0);
     NodeId next_slot = 0;
-    std::size_t ci = 0;
-    std::size_t ri = 0;
     for (NodeId id = 0; id < num_nodes; ++id) {
-        if (ci < plan_comb.size() && plan_comb[ci].dst == id) {
-            const auto &op = plan_comb[ci++];
-            depth[id] = std::max(depth[op.a], depth[op.b]);
-        } else if (ri < plan_regs.size() && plan_regs[ri].dst == id) {
-            const auto &op = plan_regs[ri++];
-            depth[id] = std::max(depth[op.a], depth[op.b]) + 1;
-        } else {
-            slotOf_[id] = next_slot++;
+        const CompKind kind = netlist.kind(id);
+        if (isComb(kind) || isReg(kind)) {
+            depth[id] = std::max(depth[netlist.srcA(id)], depth[srcB(id)]) +
+                        (isReg(kind) ? 1 : 0);
+            if (depth[id] >= ops_at_depth.size())
+                ops_at_depth.resize(depth[id] + 1, 0);
+            ++ops_at_depth[depth[id]];
             continue;
         }
-        if (depth[id] >= ops_at_depth.size())
-            ops_at_depth.resize(depth[id] + 1, 0);
-        ++ops_at_depth[depth[id]];
+        const NodeId slot = next_slot++;
+        slotOf_[id] = slot;
+        if (kind == CompKind::Const1)
+            constOnes_.push_back(slot);
+        else if (kind == CompKind::Input)
+            inputs_.push_back(InputOp{slot, netlist.inputPort(id)});
     }
 
-    // Schedule every op by (depth, dst) with a counting sort: each
+    // Schedule every op by (depth, id) with a counting sort: each
     // depth's ops get one contiguous run of slots after the non-op
     // nodes, filled in ascending id order.  Sources land strictly
     // before their consumers (comb sources at the same depth have
     // lower ids; register sources sit one depth below), so the comb
     // subsequence stays topological while nodes that quiesce together
-    // share segments.  Op destinations are renumbered into this
-    // schedule order, so each segment owns one contiguous slice of the
-    // value array; the ones/zero slots stay at numNodes and
+    // share segments.  Each segment thereby owns one contiguous slice
+    // of the value array; the ones/zero slots stay at numNodes and
     // numNodes + 1 so a simulator's reset code is layout-agnostic.
     const NodeId first_op_slot = next_slot;
     std::vector<NodeId> depth_cursor(ops_at_depth.size());
@@ -128,34 +81,29 @@ Segmentation::Segmentation(const ExecPlan &plan, std::size_t ops_per_segment)
         depth_cursor[d] = next_slot;
         next_slot += ops_at_depth[d];
     }
-    // Schedule position -> op: the op's tape index shifted left once,
-    // with the low bit set for register ops.
-    std::vector<std::uint32_t> order(next_slot - first_op_slot);
-    ci = 0;
-    ri = 0;
+    // Schedule position -> node id.
+    std::vector<NodeId> order(next_slot - first_op_slot);
     for (NodeId id = 0; id < num_nodes; ++id) {
-        std::uint32_t op;
-        if (ci < plan_comb.size() && plan_comb[ci].dst == id)
-            op = static_cast<std::uint32_t>(ci++) << 1;
-        else if (ri < plan_regs.size() && plan_regs[ri].dst == id)
-            op = static_cast<std::uint32_t>(ri++) << 1 | 1u;
-        else
+        const CompKind kind = netlist.kind(id);
+        if (!isComb(kind) && !isReg(kind))
             continue;
         const NodeId slot = depth_cursor[depth[id]]++;
         slotOf_[id] = slot;
-        order[slot - first_op_slot] = op;
+        order[slot - first_op_slot] = id;
     }
-    slotOf_[num_nodes] = static_cast<NodeId>(num_nodes);         // ones
-    slotOf_[num_nodes + 1] = static_cast<NodeId>(num_nodes + 1); // zero
+    slotOf_[onesSlot()] = onesSlot();
+    slotOf_[zeroSlot()] = zeroSlot();
 
-    // Chunk into segments, rewriting every op into slot space, and
-    // record which segment owns each dst slot (for the frontier scan),
-    // tagged with kRegOwner when the slot is a register's.
+    // Chunk into segments, emitting every op in slot space, and record
+    // which segment owns each dst slot (for the frontier scan), tagged
+    // with kRegOwner when the slot is a register's.
     constexpr std::uint32_t kUnowned = 0xffffffffu;
     constexpr std::uint32_t kRegOwner = 0x80000000u;
     std::vector<std::uint32_t> owner(num_slots, kUnowned);
-    comb_.reserve(plan_comb.size());
-    regs_.reserve(plan_regs.size());
+    const std::size_t num_comb = netlist.countKind(CompKind::Not) +
+                                 netlist.countKind(CompKind::And);
+    comb_.reserve(num_comb);
+    regs_.reserve(order.size() - num_comb);
     for (std::size_t first = 0; first < order.size();
          first += opsPerSegment_) {
         const std::size_t last =
@@ -166,18 +114,27 @@ Segmentation::Segmentation(const ExecPlan &plan, std::size_t ops_per_segment)
         const auto index = static_cast<std::uint32_t>(segments_.size());
         for (std::size_t i = first; i < last; ++i) {
             const auto dst = static_cast<NodeId>(first_op_slot + i);
-            const std::uint32_t op_index = order[i] >> 1;
-            if (order[i] & 1u) {
-                const auto &op = plan_regs[op_index];
-                owner[dst] = index | kRegOwner;
-                regs_.push_back(ExecPlan::RegOp{dst, slotOf_[op.a],
-                                                slotOf_[op.b], op.bInv,
-                                                op.carryInit});
-            } else {
-                const auto &op = plan_comb[op_index];
+            const NodeId id = order[i];
+            const NodeId a = slotOf_[netlist.srcA(id)];
+            const NodeId b = slotOf_[srcB(id)];
+            switch (netlist.kind(id)) {
+              case CompKind::Not:
+                comb_.push_back(CombOp{dst, a, b, ~std::uint64_t{0}});
                 owner[dst] = index;
-                comb_.push_back(ExecPlan::CombOp{dst, slotOf_[op.a],
-                                                 slotOf_[op.b], op.inv});
+                break;
+              case CompKind::And:
+                comb_.push_back(CombOp{dst, a, b, 0});
+                owner[dst] = index;
+                break;
+              case CompKind::Sub:
+                regs_.push_back(RegOp{dst, a, b, ~std::uint64_t{0},
+                                      ~std::uint64_t{0}});
+                owner[dst] = index | kRegOwner;
+                break;
+              default: // Dff (b is the zero slot) and Adder
+                regs_.push_back(RegOp{dst, a, b, 0, 0});
+                owner[dst] = index | kRegOwner;
+                break;
             }
         }
         seg.combEnd = static_cast<std::uint32_t>(comb_.size());
@@ -185,19 +142,11 @@ Segmentation::Segmentation(const ExecPlan &plan, std::size_t ops_per_segment)
         segments_.push_back(seg);
     }
 
-    inputs_.reserve(plan.inputs().size());
-    for (const auto &in : plan.inputs())
-        inputs_.push_back(ExecPlan::InputOp{slotOf_[in.node], in.port});
-    constOnes_.reserve(plan.constOnes().size());
-    for (const auto node : plan.constOnes())
-        constOnes_.push_back(slotOf_[node]);
-
     // Frontier: the distinct segments owning each segment's sources.
     // Input and constant sources are unowned: constants never change
     // after reset, and cycles whose driven planes changed run the dense
-    // fallback, which executes every segment anyway.  Scanned in slot
-    // space, where the rewritten ops and the owner map live.  Segments
-    // are visited in ascending order, so every readers list comes out
+    // fallback, which executes every segment anyway.  Segments are
+    // visited in ascending order, so every readers list comes out
     // sorted, and checking its back keeps it duplicate-free.
     const std::size_t num_segments = segments_.size();
     std::vector<std::vector<std::uint32_t>> comb_readers(num_segments);

@@ -23,14 +23,6 @@ signExtend(std::uint64_t word, int out_bits)
     return static_cast<std::int64_t>(word);
 }
 
-/** The design's cached segmentation at `lane_words` words per node. */
-std::shared_ptr<const circuit::Segmentation>
-segmentationFor(const CompiledMatrix &design, unsigned lane_words)
-{
-    return design.plan().segmentation(
-        circuit::Segmentation::opsForBudget(lane_words));
-}
-
 /**
  * Per-worker execution context: one simulator plus the input/capture
  * planes, reused across every group the worker processes.  Product
@@ -44,8 +36,7 @@ class GroupRunner
                 const circuit::kernels::Kernel &kernel,
                 const SimOptions &options)
         : design_(design),
-          sim_(design.plan(), segmentationFor(design, W), &kernel,
-               options.activityGating),
+          sim_(design.plan(), &kernel, options.activityGating),
           planeStride_(design.rows() * W),
           planes_((static_cast<std::size_t>(design.options().inputBits) + 1) *
                       planeStride_,
@@ -357,8 +348,7 @@ measureSwitchingActivity(const CompiledMatrix &design,
 
 TapeGemv::TapeGemv(const CompiledMatrix &design, const SimOptions &options)
     : design_(design),
-      sim_(design.plan(), segmentationFor(design, 1),
-           &resolvedKernel(options), options.activityGating),
+      sim_(design.plan(), &resolvedKernel(options), options.activityGating),
       planes_((static_cast<std::size_t>(design.options().inputBits) + 1) *
                   design.rows(),
               0),

@@ -3,8 +3,8 @@
  * Batched execution of compiled designs on the tape engine.
  *
  * This is the machinery behind CompiledMatrix::multiplyBatchWide and the
- * batched ESN backend: it runs a design's cached ExecPlan on
- * BlockSimulator<W> over groups of 64*W input vectors, sharding
+ * batched ESN backend: it runs a design's ExecPlan — the one segmented
+ * schedule built at compile time — on BlockSimulator<W> over groups of 64*W input vectors, sharding
  * independent groups across worker threads.
  *
  * Per group, the input vectors are bit-transposed once into port-major

@@ -59,8 +59,10 @@ class CompiledMatrix
     const CompileOptions &options() const { return options_; }
 
     /**
-     * The netlist's compiled execution plan, built once at compile time
-     * and shared (immutably) by every simulator instance and worker
+     * The netlist's segmented execution plan: the one schedule every
+     * BlockSimulator<W> runs at every lane width, and the one
+     * verifyCompiledMatrix checks.  Built once at compile (or load)
+     * time and shared immutably by every simulator instance and worker
      * thread that executes this design.
      */
     const circuit::ExecPlan &plan() const;

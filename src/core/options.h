@@ -86,8 +86,8 @@ struct CompileOptions
 
 /**
  * Runtime knobs of the compiled-tape batch simulation engine (the
- * ExecPlan / BlockSimulator path behind CompiledMatrix::multiplyBatchWide
- * and the batched ESN backend).  Defaults auto-size to the workload and
+ * BlockSimulator running a design's ExecPlan, behind
+ * CompiledMatrix::multiplyBatchWide and the batched ESN backend).  Defaults auto-size to the workload and
  * machine; see docs/simulation.md for the threading model.
  */
 struct SimOptions
@@ -102,10 +102,11 @@ struct SimOptions
     /**
      * 64-bit lane-words processed per node per pass (W): each netlist
      * pass evaluates 64*laneWords independent vectors.  Must be one of
-     * 1, 2, 4, 8; 0 = auto — the widest block the batch can fill.
-     * Execution is already blocked into L1-sized segments, and the
-     * widest block amortizes the gated sweeps' per-op overhead over the
-     * most lanes.
+     * 1, 2, 4, 8; 0 = auto — the widest block the batch can fill,
+     * which amortizes the gated sweeps' per-op overhead over the most
+     * lanes.  Every width runs the same ExecPlan segments of
+     * ExecPlan::kOpsPerSegment ops, whose working set grows with W:
+     * about 4 KiB at W = 1 and about 32 KiB at W = 8.
      */
     unsigned laneWords = 0;
 
@@ -120,7 +121,7 @@ struct SimOptions
     const circuit::kernels::Kernel *kernel = nullptr;
 
     /**
-     * Activity gating on the circuit::Segmentation schedule: a segment
+     * Activity gating on the circuit::ExecPlan segments: a segment
      * is skipped in cycles where its dependency frontier did not
      * change — bit-exact (outputs and toggle counts), and the big win
      * on the drain cycles of a bit-serial stream, where most of the

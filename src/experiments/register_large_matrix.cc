@@ -12,9 +12,9 @@
  * loaded design's wide-engine output bit-exact against a plain integer
  * GEMV of the original weights.  The headline columns are the
  * compile-vs-load split: rematerializing a spilled design is a linear
- * netlist replay plus ExecPlan rebuild, several times cheaper than
- * recompiling, which is the entire case for memory tiering
- * (docs/store.md).  `spatial-bench run large_matrix --json=.` writes
+ * netlist replay plus the segmented ExecPlan build, several times
+ * cheaper than recompiling, which is the entire case for memory
+ * tiering (docs/store.md).  `spatial-bench run large_matrix --json=.` writes
  * BENCH_large_matrix.json; CI gates `load x` at dim >= 2048 with
  * --check_load_speedup.
  */

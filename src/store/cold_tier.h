@@ -7,7 +7,7 @@
  * (serve::DesignStore's LRU map) holds live TiledDesigns; when a
  * design is demoted it is serialized into this directory, and a later
  * request rematerializes it by loading the file — a linear netlist
- * replay plus ExecPlan rebuild, several times cheaper than
+ * replay plus the segmented ExecPlan build, several times cheaper than
  * recompiling.  Filenames are derived from the DesignKey hash; the
  * stored identity block is verified on load, so a hash collision (or
  * a stale file from an incompatible revision) degrades to a miss,

@@ -7,9 +7,9 @@
  * but cheap to describe: the netlist is a flat SoA of (kind, srcA,
  * srcB) triples and everything else is a handful of scalars.  The
  * format therefore stores the netlist and the capture bookkeeping
- * verbatim and rebuilds the ExecPlan on load — plan construction is a
- * linear pass over the netlist, which is what makes loading a design
- * several times faster than recompiling it.
+ * verbatim and rebuilds the segmented ExecPlan on load — plan
+ * construction is a few linear passes over the netlist, which is what
+ * makes loading a design several times faster than recompiling it.
  *
  * Layout (all integers little-endian):
  *

@@ -4,8 +4,8 @@
  * sweep over registry-style designs in every sign mode, then
  * mutation-based negative tests — snapshot a correct artifact into
  * its *View, corrupt exactly one invariant, and assert the verifier
- * names the exact rule — spanning every layer: netlist, plan,
- * segmentation, tile partition, and the .sptd container.  Plus a
+ * names the exact rule — spanning every layer: netlist, the segmented
+ * execution plan, tile partition, and the .sptd container.  Plus a
  * DesignStore concurrency regression for the thread-safety-annotated
  * admission path.
  */
@@ -38,9 +38,7 @@ struct Artifacts
 {
     core::TiledDesign design;
     NetlistView netlist;
-    PlanView plan;
-    SegmentationView seg;
-    std::shared_ptr<const circuit::Segmentation> segPtr;
+    SegmentationView seg; //!< 64-op segments, so the plan has several
 };
 
 Artifacts
@@ -50,15 +48,13 @@ makeArtifacts(core::SignMode mode = core::SignMode::PnSplit,
     const auto workload = experiments::makeWorkload(dim, 0.5);
     const auto options = experiments::figureCompileOptions(mode);
     Artifacts a{core::TiledDesign::compile(workload.weights, options),
-                {}, {}, {}, {}};
+                {}, {}};
     const core::CompiledMatrix &tile = a.design.tile(0);
     a.netlist = NetlistView::of(tile.netlist());
     for (const auto &out : tile.outputs())
         if (out.node != circuit::kNoNode)
             a.netlist.outputs.push_back(out.node);
-    a.plan = PlanView::of(tile.plan());
-    a.segPtr = tile.plan().segmentation(64);
-    a.seg = SegmentationView::of(*a.segPtr, tile.plan());
+    a.seg = SegmentationView::of(circuit::ExecPlan(tile.netlist(), 64));
     return a;
 }
 
@@ -70,9 +66,8 @@ makeArtifacts(core::SignMode mode = core::SignMode::PnSplit,
 struct Synthetic
 {
     circuit::Netlist netlist;
-    std::unique_ptr<circuit::ExecPlan> plan;
     NetlistView netlistView;
-    PlanView planView;
+    SegmentationView seg; //!< default-size segments: a single one
 };
 
 Synthetic
@@ -96,9 +91,8 @@ makeSynthetic()
         acc = layer % 2 == 0 ? n.addSub(sum, held) : sum;
     }
     n.addDelay(acc, 3);
-    s.plan = std::make_unique<circuit::ExecPlan>(n);
     s.netlistView = NetlistView::of(n);
-    s.planView = PlanView::of(*s.plan);
+    s.seg = SegmentationView::of(circuit::ExecPlan(n));
     return s;
 }
 
@@ -236,84 +230,7 @@ TEST(AnalysisNetlistTest, ConstantWithOperandsBreaksArity)
 }
 
 // ---------------------------------------------------------------------
-// Plan mutations
-// ---------------------------------------------------------------------
-
-TEST(AnalysisPlanTest, SwappedSettleOpsBreakTapeOrder)
-{
-    Synthetic s = makeSynthetic();
-    ASSERT_GE(s.planView.comb.size(), 2u);
-    std::swap(s.planView.comb[0], s.planView.comb[1]);
-    Report report;
-    Verifier().checkPlan(s.planView, nullptr, &report);
-    expectRule(report, "PLAN-COMB-ORDER");
-}
-
-TEST(AnalysisPlanTest, CombReadingLaterSlotIsUnsettled)
-{
-    Synthetic s = makeSynthetic();
-    ASSERT_GE(s.planView.comb.size(), 2u);
-    // First op reads the last op's destination: a same-cycle value
-    // the ascending tape has not produced yet.
-    s.planView.comb.front().a = s.planView.comb.back().dst;
-    Report report;
-    Verifier().checkPlan(s.planView, nullptr, &report);
-    expectRule(report, "PLAN-COMB-SRC-SETTLED");
-}
-
-TEST(AnalysisPlanTest, ReversedCommitTapeBreaksOrder)
-{
-    Artifacts a = makeArtifacts(core::SignMode::Csd);
-    ASSERT_GE(a.plan.regs.size(), 2u);
-    // The commit tape is ascending by dst; a descending one is not.
-    std::reverse(a.plan.regs.begin(), a.plan.regs.end());
-    Report report;
-    Verifier().checkPlan(a.plan, nullptr, &report);
-    expectRule(report, "PLAN-COMMIT-ORDER");
-}
-
-TEST(AnalysisPlanTest, DuplicateDriverAndSlotRange)
-{
-    Artifacts a = makeArtifacts();
-    ASSERT_GE(a.plan.regs.size(), 2u);
-    {
-        PlanView p = a.plan;
-        p.regs[1].dst = p.regs[0].dst;
-        Report report;
-        Verifier().checkPlan(p, nullptr, &report);
-        expectRule(report, "PLAN-DST-UNIQUE");
-    }
-    {
-        PlanView p = a.plan;
-        p.regs[0].b = static_cast<circuit::NodeId>(p.numSlots() + 5);
-        Report report;
-        Verifier().checkPlan(p, nullptr, &report);
-        expectRule(report, "PLAN-SLOT-RANGE");
-    }
-}
-
-TEST(AnalysisPlanTest, DroppedOpBreaksNetlistCoverage)
-{
-    Artifacts a = makeArtifacts();
-    ASSERT_GE(a.plan.regs.size(), 2u);
-    a.plan.regs.erase(a.plan.regs.begin() + 1);
-    Report report;
-    Verifier().checkPlan(a.plan, &a.netlist, &report);
-    expectRule(report, "PLAN-COVERAGE");
-}
-
-TEST(AnalysisPlanTest, CorruptedInvMaskBreaksOpForm)
-{
-    Artifacts a = makeArtifacts();
-    ASSERT_FALSE(a.plan.regs.empty());
-    a.plan.regs[0].bInv ^= 0x10;
-    Report report;
-    Verifier().checkPlan(a.plan, &a.netlist, &report);
-    expectRule(report, "PLAN-OP-FORM");
-}
-
-// ---------------------------------------------------------------------
-// Segmentation mutations
+// Segmented plan mutations: internal invariants
 // ---------------------------------------------------------------------
 
 TEST(AnalysisSegTest, WidenedSegmentSliceBreaksPartition)
@@ -322,7 +239,7 @@ TEST(AnalysisSegTest, WidenedSegmentSliceBreaksPartition)
     ASSERT_GE(a.seg.segments.size(), 2u);
     a.seg.segments[0].regEnd += 1; // overlaps segment 1's range
     Report report;
-    Verifier().checkSegmentation(a.seg, &report);
+    Verifier().checkSegmentation(a.seg, nullptr, &report);
     expectRule(report, "SEG-PARTITION");
 }
 
@@ -332,7 +249,7 @@ TEST(AnalysisSegTest, SwappedSlotOfEntriesBreakThePermutation)
     // Duplicate one mapping: two nodes land in one slot.
     a.seg.slotOf[1] = a.seg.slotOf[0];
     Report report;
-    Verifier().checkSegmentation(a.seg, &report);
+    Verifier().checkSegmentation(a.seg, nullptr, &report);
     expectRule(report, "SEG-SLOTOF-PERM");
 }
 
@@ -348,22 +265,24 @@ TEST(AnalysisSegTest, SwappedScheduleOpsBreakContiguity)
     ASSERT_GT(s1.regEnd, s1.regBegin);
     std::swap(a.seg.regs[s0.regBegin], a.seg.regs[s1.regBegin]);
     Report report;
-    Verifier().checkSegmentation(a.seg, &report);
+    Verifier().checkSegmentation(a.seg, nullptr, &report);
     expectRule(report, "SEG-SLOT-CONTIGUOUS");
 }
 
 TEST(AnalysisSegTest, UnsettledReadBreaksScheduleTopology)
 {
     // Settle-order topology needs a comb tape, so segment the
-    // synthetic plan at a budget small enough to split it.
+    // synthetic netlist at a budget small enough to split it.
     Synthetic s = makeSynthetic();
-    const auto segPtr = s.plan->segmentation(4);
-    SegmentationView seg = SegmentationView::of(*segPtr, *s.plan);
+    SegmentationView seg =
+        SegmentationView::of(circuit::ExecPlan(s.netlist, 4));
     ASSERT_GE(seg.segments.size(), 2u);
     ASSERT_GE(seg.comb.size(), 2u);
+    // The first op reads the last op's destination: a same-cycle value
+    // the schedule has not produced yet.
     seg.comb.front().a = seg.comb.back().dst;
     Report report;
-    Verifier().checkSegmentation(seg, &report);
+    Verifier().checkSegmentation(seg, nullptr, &report);
     expectRule(report, "SEG-TOPO");
 }
 
@@ -375,7 +294,7 @@ TEST(AnalysisSegTest, ReversedCommitReadIsAHazard)
     // dense-fallback sweep overwrites it first.
     a.seg.regs.front().a = a.seg.regs.back().dst;
     Report report;
-    Verifier().checkSegmentation(a.seg, &report);
+    Verifier().checkSegmentation(a.seg, nullptr, &report);
     expectRule(report, "SEG-REG-HAZARD");
 }
 
@@ -398,7 +317,7 @@ TEST(AnalysisSegTest, DroppedConsumerEdgeIsCaught)
     }
     ASSERT_TRUE(mutated) << "no segment had consumers to drop";
     Report report;
-    Verifier().checkSegmentation(a.seg, &report);
+    Verifier().checkSegmentation(a.seg, nullptr, &report);
     expectRule(report, "SEG-CONSUMER-MISSING");
 }
 
@@ -421,12 +340,148 @@ TEST(AnalysisSegTest, ForeignConsumerEdgeIsCaught)
     if (!mutated)
         GTEST_SKIP() << "every segment already wakes someone";
     Report report;
-    Verifier().checkSegmentation(a.seg, &report);
+    Verifier().checkSegmentation(a.seg, nullptr, &report);
     // Either the grafted edge is spurious (EXTRA) or — if segment 0's
     // real reader coincides — the list is fine for that segment but
     // the mutation was a no-op; require the report to say EXTRA or be
     // clean, and accept only EXTRA as the mutation firing.
     expectRule(report, "SEG-CONSUMER-EXTRA");
+}
+
+TEST(AnalysisSegTest, SwappedSettleOpsBreakSliceOrder)
+{
+    Synthetic s = makeSynthetic();
+    ASSERT_GE(s.seg.comb.size(), 2u);
+    std::swap(s.seg.comb[0], s.seg.comb[1]);
+    Report report;
+    Verifier().checkSegmentation(s.seg, nullptr, &report);
+    expectRule(report, "SEG-SLOT-CONTIGUOUS");
+}
+
+TEST(AnalysisSegTest, ReversedCommitTapeBreaksSliceOrder)
+{
+    Artifacts a = makeArtifacts(core::SignMode::Csd);
+    ASSERT_GE(a.seg.regs.size(), 2u);
+    // The commit tape is ascending by dst; a descending one is not.
+    std::reverse(a.seg.regs.begin(), a.seg.regs.end());
+    Report report;
+    Verifier().checkSegmentation(a.seg, nullptr, &report);
+    expectRule(report, "SEG-SLOT-CONTIGUOUS");
+}
+
+TEST(AnalysisSegTest, DuplicateDriverAndSlotRange)
+{
+    Artifacts a = makeArtifacts();
+    ASSERT_GE(a.seg.regs.size(), 2u);
+    {
+        SegmentationView seg = a.seg;
+        seg.regs[1].dst = seg.regs[0].dst;
+        Report report;
+        Verifier().checkSegmentation(seg, nullptr, &report);
+        expectRule(report, "SEG-SLOT-CONTIGUOUS");
+    }
+    {
+        SegmentationView seg = a.seg;
+        seg.regs[0].b = static_cast<circuit::NodeId>(seg.numNodes + 7);
+        Report report;
+        Verifier().checkSegmentation(seg, nullptr, &report);
+        expectRule(report, "SEG-RANGE-VALID");
+    }
+    {
+        SegmentationView seg = a.seg;
+        ASSERT_FALSE(seg.inputs.empty());
+        seg.inputs[0].port =
+            static_cast<std::uint32_t>(seg.numInputPorts + 3);
+        Report report;
+        Verifier().checkSegmentation(seg, nullptr, &report);
+        expectRule(report, "SEG-INPUT-RANGE");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Segmented plan mutations: reconciliation against the netlist
+// ---------------------------------------------------------------------
+
+TEST(AnalysisSegTest, EverySegmentSizeReconcilesWithItsNetlist)
+{
+    // The synthetic netlist carries every op kind and both constants,
+    // which the register-only registry designs never do.
+    Synthetic s = makeSynthetic();
+    for (const std::size_t ops : {std::size_t{1}, std::size_t{4},
+                                  circuit::ExecPlan::kOpsPerSegment}) {
+        Report report;
+        Verifier().checkSegmentation(
+            SegmentationView::of(circuit::ExecPlan(s.netlist, ops)),
+            &s.netlistView, &report);
+        EXPECT_TRUE(report.diagnostics.empty())
+            << "ops/seg " << ops << ":\n"
+            << report.str();
+    }
+}
+
+TEST(AnalysisSegTest, DroppedOrRemappedNodeBreaksCoverage)
+{
+    Artifacts a = makeArtifacts();
+    ASSERT_GE(a.seg.regs.size(), 2u);
+    {
+        // Drop the last commit op: its node has no op any more.
+        SegmentationView seg = a.seg;
+        seg.regs.pop_back();
+        seg.segments.back().regEnd -= 1;
+        Report report;
+        Verifier().checkSegmentation(seg, &a.netlist, &report);
+        expectRule(report, "SEG-COVERAGE");
+    }
+    {
+        // Swap an input node's slot with a register node's: slotOf is
+        // still a permutation, but neither node's slot carries what its
+        // kind demands.
+        SegmentationView seg = a.seg;
+        const auto &kinds = a.netlist.kinds;
+        const auto input = static_cast<std::size_t>(
+            std::find(kinds.begin(), kinds.end(), circuit::CompKind::Input) -
+            kinds.begin());
+        const auto adder = static_cast<std::size_t>(
+            std::find(kinds.begin(), kinds.end(), circuit::CompKind::Adder) -
+            kinds.begin());
+        ASSERT_LT(input, kinds.size());
+        ASSERT_LT(adder, kinds.size());
+        std::swap(seg.slotOf[input], seg.slotOf[adder]);
+        Report report;
+        Verifier().checkSegmentation(seg, &a.netlist, &report);
+        expectRule(report, "SEG-COVERAGE");
+    }
+}
+
+TEST(AnalysisSegTest, CorruptedOpFieldsBreakOpForm)
+{
+    {
+        Artifacts a = makeArtifacts();
+        ASSERT_FALSE(a.seg.regs.empty());
+        a.seg.regs[0].bInv ^= 0x10;
+        Report report;
+        Verifier().checkSegmentation(a.seg, &a.netlist, &report);
+        expectRule(report, "SEG-OP-FORM");
+        // The internal rules cannot see it: only the netlist can.
+        Report internal;
+        Verifier().checkSegmentation(a.seg, nullptr, &internal);
+        EXPECT_TRUE(internal.ok()) << internal.str();
+    }
+    {
+        // A NOT that forgot its inversion is an AND with the ones slot.
+        Synthetic s = makeSynthetic();
+        bool mutated = false;
+        for (auto &op : s.seg.comb)
+            if (op.inv != 0) {
+                op.inv = 0;
+                mutated = true;
+                break;
+            }
+        ASSERT_TRUE(mutated);
+        Report report;
+        Verifier().checkSegmentation(s.seg, &s.netlistView, &report);
+        expectRule(report, "SEG-OP-FORM");
+    }
 }
 
 // ---------------------------------------------------------------------

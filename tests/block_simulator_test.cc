@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -60,14 +59,6 @@ makeKitchenSinkNetlist()
     return nl;
 }
 
-/** The plan's Segmentation at the engine's budget for W. */
-template <unsigned W>
-std::shared_ptr<const circuit::Segmentation>
-segmentationOf(const circuit::ExecPlan &plan)
-{
-    return plan.segmentation(circuit::Segmentation::opsForBudget(W));
-}
-
 /**
  * Drive a BlockSimulator<W> on one kernel and W independent
  * WideSimulators with the same per-lane-word streams; every node must
@@ -83,8 +74,7 @@ checkAgainstWideLanes(std::uint64_t seed,
 {
     const auto nl = makeKitchenSinkNetlist();
     const circuit::ExecPlan plan(nl);
-    circuit::BlockSimulator<W> block(plan, segmentationOf<W>(plan), kernel,
-                                     gating);
+    circuit::BlockSimulator<W> block(plan, kernel, gating);
     std::vector<circuit::WideSimulator> wides(W, circuit::WideSimulator(nl));
 
     Rng rng(seed);
@@ -157,7 +147,7 @@ TEST(BlockSimulator, MatchesScalarSimulatorPerLane)
 {
     const auto nl = makeKitchenSinkNetlist();
     const circuit::ExecPlan plan(nl);
-    circuit::BlockSimulator<2> block(plan, segmentationOf<2>(plan));
+    circuit::BlockSimulator<2> block(plan);
     std::vector<circuit::Simulator> scalars;
     const int lanes_checked = 8;
     for (int l = 0; l < lanes_checked; ++l)
@@ -196,7 +186,7 @@ TEST(BlockSimulator, ResetRestoresPowerOnState)
 {
     const auto nl = makeKitchenSinkNetlist();
     const circuit::ExecPlan plan(nl);
-    circuit::BlockSimulator<1> sim(plan, segmentationOf<1>(plan));
+    circuit::BlockSimulator<1> sim(plan);
 
     std::vector<std::uint64_t> ones(nl.numInputPorts(), ~std::uint64_t{0});
     sim.step(ones.data(), ones.size());

@@ -8,8 +8,8 @@
  * for every supported SIMD kernel and lane width, across quiet input
  * phases (where segments skip), active phases (where the dense
  * fallback runs), and the transitions between them.  Also pins the
- * Segmentation build invariants and the engine's resolved-knob
- * reporting.
+ * ExecPlan schedule build invariants, the one segment count every lane
+ * width runs, and the engine's resolved-knob reporting.
  */
 
 #include <gtest/gtest.h>
@@ -70,9 +70,8 @@ checkGatedAgainstWide(const circuit::Netlist &nl,
                       const circuit::kernels::Kernel *kernel,
                       std::uint64_t seed)
 {
-    const circuit::ExecPlan plan(nl);
-    const auto segmentation = plan.segmentation(ops_per_segment);
-    circuit::BlockSimulator<W> block(plan, segmentation, kernel);
+    const circuit::ExecPlan plan(nl, ops_per_segment);
+    circuit::BlockSimulator<W> block(plan, kernel);
     std::vector<circuit::WideSimulator> wides(W,
                                               circuit::WideSimulator(nl));
 
@@ -152,8 +151,8 @@ TEST(Gating, MatchesWideSimulatorEverySegmentSizeW8)
 TEST(Gating, ResetRestoresPowerOnStateAndCounters)
 {
     const auto nl = makeKitchenSinkNetlist();
-    const circuit::ExecPlan plan(nl);
-    circuit::BlockSimulator<2> sim(plan, plan.segmentation(2));
+    const circuit::ExecPlan plan(nl, 2);
+    circuit::BlockSimulator<2> sim(plan);
 
     std::vector<std::uint64_t> ones(nl.numInputPorts() * 2,
                                     ~std::uint64_t{0});
@@ -309,16 +308,39 @@ TEST(Gating, SkippedSegmentsReportedByBatchStats)
     dense.activityGating = false;
     core::BatchStats all;
     (void)core::runBatchWide(design, batch, dense, &all);
-    const std::size_t segments =
-        design.plan()
-            .segmentation(circuit::Segmentation::opsForBudget(2))
-            ->segments()
-            .size();
+    const std::size_t segments = design.plan().segments().size();
     EXPECT_EQ(all.segmentsExecuted,
               std::uint64_t{2} * design.drainCycles() * segments);
     EXPECT_EQ(all.segmentsSkipped, 0u);
     EXPECT_EQ(stats.segmentsExecuted + stats.segmentsSkipped,
               all.segmentsExecuted);
+}
+
+TEST(Gating, EveryLaneWidthRunsThePlanSegments)
+{
+    // One design, forced dense at every W: each group executes every
+    // segment of design.plan() once per cycle, so the count pins the
+    // schedule that runs to the one verifyCompiledMatrix checks.
+    Rng rng(96);
+    const auto v = makeSignedElementSparseMatrix(48, 48, 8, 0.6, rng);
+    core::CompileOptions options;
+    options.signMode = core::SignMode::Csd;
+    const auto design = MatrixCompiler(options).compile(v);
+    const std::size_t segments = design.plan().segments().size();
+    ASSERT_GT(segments, 1u);
+    for (const unsigned lane_words : {1u, 2u, 4u, 8u}) {
+        // One full group at this width.
+        const auto batch = makeSignedBatch(64 * lane_words, 48, 8, rng);
+        SimOptions dense;
+        dense.threads = 1;
+        dense.laneWords = lane_words;
+        dense.activityGating = false;
+        core::BatchStats stats;
+        (void)core::runBatchWide(design, batch, dense, &stats);
+        EXPECT_EQ(stats.segmentsExecuted,
+                  std::uint64_t{design.drainCycles()} * segments)
+            << "W " << lane_words;
+    }
 }
 
 TEST(Gating, TapeGemvGatedMatchesScalarAndCountsSegments)
@@ -338,30 +360,38 @@ TEST(Gating, TapeGemvGatedMatchesScalarAndCountsSegments)
 }
 
 // ---------------------------------------------------------------------
-// Segmentation build invariants
+// ExecPlan schedule build invariants
 // ---------------------------------------------------------------------
 
-TEST(Segmentation, PartitionsEveryOpExactlyOnce)
+TEST(ExecPlanSchedule, PartitionsEveryOpExactlyOnce)
 {
+    using circuit::CompKind;
     Rng rng(94);
     const auto v = makeSignedElementSparseMatrix(12, 12, 5, 0.5, rng);
     const auto design = MatrixCompiler(CompileOptions{}).compile(v);
-    const auto &plan = design.plan();
+    const auto &nl = design.netlist();
+    const std::size_t num_comb =
+        nl.countKind(CompKind::Not) + nl.countKind(CompKind::And);
+    const std::size_t num_regs = nl.countKind(CompKind::Dff) +
+                                 nl.countKind(CompKind::Adder) +
+                                 nl.countKind(CompKind::Sub);
+    EXPECT_EQ(design.plan().opsPerSegment(),
+              circuit::ExecPlan::kOpsPerSegment);
 
     for (const std::size_t ops_per_segment : {std::size_t{1},
                                               std::size_t{7},
                                               std::size_t{100000}}) {
-        const auto seg = plan.segmentation(ops_per_segment);
-        ASSERT_EQ(seg->comb().size(), plan.comb().size());
-        ASSERT_EQ(seg->regs().size(), plan.regs().size());
-        ASSERT_EQ(seg->inputs().size(), plan.inputs().size());
-        ASSERT_EQ(seg->constOnes().size(), plan.constOnes().size());
+        const circuit::ExecPlan plan(nl, ops_per_segment);
+        ASSERT_EQ(plan.comb().size(), num_comb);
+        ASSERT_EQ(plan.regs().size(), num_regs);
+        ASSERT_EQ(plan.inputs().size(), nl.countKind(CompKind::Input));
+        ASSERT_EQ(plan.constOnes().size(), nl.countKind(CompKind::Const1));
 
         // Segments tile both tapes without gaps or overlaps.
         std::uint32_t comb_cursor = 0;
         std::uint32_t reg_cursor = 0;
         std::size_t total_ops = 0;
-        for (const auto &s : seg->segments()) {
+        for (const auto &s : plan.segments()) {
             EXPECT_EQ(s.combBegin, comb_cursor);
             EXPECT_EQ(s.regBegin, reg_cursor);
             EXPECT_LE(s.combBegin, s.combEnd);
@@ -371,80 +401,115 @@ TEST(Segmentation, PartitionsEveryOpExactlyOnce)
             total_ops += (s.combEnd - s.combBegin) +
                          (s.regEnd - s.regBegin);
         }
-        EXPECT_EQ(comb_cursor, seg->comb().size());
-        EXPECT_EQ(reg_cursor, seg->regs().size());
-        EXPECT_EQ(total_ops, plan.comb().size() + plan.regs().size());
+        EXPECT_EQ(comb_cursor, plan.comb().size());
+        EXPECT_EQ(reg_cursor, plan.regs().size());
+        EXPECT_EQ(total_ops, num_comb + num_regs);
 
         // slotOf is a permutation of the node ids, with the ones/zero
         // slots fixed.
         std::vector<bool> seen(plan.numSlots(), false);
-        for (const auto slot : seg->slotOf()) {
+        for (const auto slot : plan.slotOf()) {
             ASSERT_LT(slot, plan.numSlots());
             ASSERT_FALSE(seen[slot]);
             seen[slot] = true;
         }
-        EXPECT_EQ(seg->slotOf()[plan.onesSlot()], plan.onesSlot());
-        EXPECT_EQ(seg->slotOf()[plan.zeroSlot()], plan.zeroSlot());
+        EXPECT_EQ(plan.slotOf()[plan.onesSlot()], plan.onesSlot());
+        EXPECT_EQ(plan.slotOf()[plan.zeroSlot()], plan.zeroSlot());
 
         // Sources resolve to earlier (or same) segments, never later —
         // the property both the wake scheme and the dense in-place
         // sweep rest on.
         std::vector<std::uint32_t> owner(plan.numSlots(), 0xffffffffu);
-        for (std::size_t i = 0; i < seg->segments().size(); ++i) {
-            const auto &s = seg->segments()[i];
+        for (std::size_t i = 0; i < plan.segments().size(); ++i) {
+            const auto &s = plan.segments()[i];
             for (std::uint32_t k = s.combBegin; k < s.combEnd; ++k)
-                owner[seg->comb()[k].dst] =
+                owner[plan.comb()[k].dst] =
                     static_cast<std::uint32_t>(i);
             for (std::uint32_t k = s.regBegin; k < s.regEnd; ++k)
-                owner[seg->regs()[k].dst] =
+                owner[plan.regs()[k].dst] =
                     static_cast<std::uint32_t>(i);
         }
-        for (std::size_t i = 0; i < seg->segments().size(); ++i) {
-            const auto &s = seg->segments()[i];
+        for (std::size_t i = 0; i < plan.segments().size(); ++i) {
+            const auto &s = plan.segments()[i];
             const auto checkSource = [&](circuit::NodeId src) {
                 if (owner[src] != 0xffffffffu) {
                     EXPECT_LE(owner[src], i);
                 }
             };
             for (std::uint32_t k = s.combBegin; k < s.combEnd; ++k) {
-                checkSource(seg->comb()[k].a);
-                checkSource(seg->comb()[k].b);
+                checkSource(plan.comb()[k].a);
+                checkSource(plan.comb()[k].b);
             }
             for (std::uint32_t k = s.regBegin; k < s.regEnd; ++k) {
-                checkSource(seg->regs()[k].a);
-                checkSource(seg->regs()[k].b);
+                checkSource(plan.regs()[k].a);
+                checkSource(plan.regs()[k].b);
             }
         }
-
-        // The cache hands back the same immutable instance.
-        EXPECT_EQ(seg.get(), plan.segmentation(ops_per_segment).get());
     }
 }
 
-/** A Segmentation's outputs, as referenceSegmentation() builds them. */
-struct ReferenceSegmentation
+/** An ExecPlan's schedule, as referenceSchedule() builds it. */
+struct ReferenceSchedule
 {
     std::vector<circuit::NodeId> slotOf;
     std::vector<circuit::ExecPlan::CombOp> comb;
     std::vector<circuit::ExecPlan::RegOp> regs;
-    std::vector<circuit::Segmentation::Segment> segments;
+    std::vector<circuit::ExecPlan::Segment> segments;
     std::vector<std::uint32_t> consumers;
+    std::vector<circuit::ExecPlan::InputOp> inputs;
+    std::vector<circuit::NodeId> constOnes;
 };
 
 /**
  * The schedule by a plain comparison sort of (depth << 32 | dst) keys
  * and per-segment sorted, deduplicated consumer lists — the direct
- * statement of the order the linear-time build must reproduce.
+ * statement of the order the linear-time build must reproduce.  Ops
+ * are first written out in id space, one per logic node, and then
+ * renumbered.
  */
-ReferenceSegmentation
-referenceSegmentation(const circuit::ExecPlan &plan,
-                      std::size_t ops_per_segment)
+ReferenceSchedule
+referenceSchedule(const circuit::Netlist &nl, std::size_t ops_per_segment)
 {
+    using circuit::CompKind;
     using circuit::NodeId;
-    const auto &plan_comb = plan.comb();
-    const auto &plan_regs = plan.regs();
-    const std::size_t num_slots = plan.numSlots();
-    const auto num_nodes = static_cast<NodeId>(plan.numNodes());
+    const std::size_t num_slots = nl.numNodes() + 2;
+    const auto num_nodes = static_cast<NodeId>(nl.numNodes());
+    const NodeId ones = num_nodes;
+    const NodeId zero = num_nodes + 1;
+    std::vector<circuit::ExecPlan::CombOp> plan_comb;
+    std::vector<circuit::ExecPlan::RegOp> plan_regs;
+    std::vector<NodeId> input_nodes;
+    std::vector<NodeId> const_one_nodes;
+    for (NodeId id = 0; id < num_nodes; ++id) {
+        const NodeId a = nl.srcA(id);
+        const NodeId b = nl.srcB(id);
+        switch (nl.kind(id)) {
+          case CompKind::Const0:
+            break;
+          case CompKind::Const1:
+            const_one_nodes.push_back(id);
+            break;
+          case CompKind::Input:
+            input_nodes.push_back(id);
+            break;
+          case CompKind::Not:
+            plan_comb.push_back({id, a, ones, ~std::uint64_t{0}});
+            break;
+          case CompKind::And:
+            plan_comb.push_back({id, a, b, 0});
+            break;
+          case CompKind::Dff:
+            plan_regs.push_back({id, a, zero, 0, 0});
+            break;
+          case CompKind::Adder:
+            plan_regs.push_back({id, a, b, 0, 0});
+            break;
+          case CompKind::Sub:
+            plan_regs.push_back(
+                {id, a, b, ~std::uint64_t{0}, ~std::uint64_t{0}});
+            break;
+        }
+    }
 
     // Register depth per node: sources always have lower ids, so one
     // ascending id walk over a dst -> op index resolves every depth.
@@ -483,7 +548,7 @@ referenceSegmentation(const circuit::ExecPlan &plan,
     std::sort(order.begin(), order.end(),
               [](const Slot &a, const Slot &b) { return a.key < b.key; });
 
-    ReferenceSegmentation ref;
+    ReferenceSchedule ref;
     std::vector<bool> is_op_dst(num_slots, false);
     for (const auto &op : plan_comb)
         is_op_dst[op.dst] = true;
@@ -507,7 +572,7 @@ referenceSegmentation(const circuit::ExecPlan &plan,
          first += ops_per_segment) {
         const std::size_t last =
             std::min(order.size(), first + ops_per_segment);
-        circuit::Segmentation::Segment seg{};
+        circuit::ExecPlan::Segment seg{};
         seg.combBegin = static_cast<std::uint32_t>(ref.comb.size());
         seg.regBegin = static_cast<std::uint32_t>(ref.regs.size());
         const auto index = static_cast<std::uint32_t>(ref.segments.size());
@@ -568,40 +633,44 @@ referenceSegmentation(const circuit::ExecPlan &plan,
              seg.combConsumersEnd);
         pack(reg_readers[s], seg.regConsumersBegin, seg.regConsumersEnd);
     }
+    for (const NodeId id : input_nodes)
+        ref.inputs.push_back({slot_of[id], nl.inputPort(id)});
+    for (const NodeId id : const_one_nodes)
+        ref.constOnes.push_back(slot_of[id]);
     return ref;
 }
 
-/** Field-by-field equality of a Segmentation and its reference. */
+/** Field-by-field equality of an ExecPlan and its reference. */
 void
-expectMatchesReference(const circuit::ExecPlan &plan,
+expectMatchesReference(const circuit::Netlist &nl,
                        std::size_t ops_per_segment, const char *what)
 {
     SCOPED_TRACE(::testing::Message()
                  << what << ", ops/seg " << ops_per_segment);
-    const circuit::Segmentation seg(plan, ops_per_segment);
-    const auto ref = referenceSegmentation(plan, ops_per_segment);
+    const circuit::ExecPlan plan(nl, ops_per_segment);
+    const auto ref = referenceSchedule(nl, ops_per_segment);
 
-    ASSERT_EQ(seg.slotOf(), ref.slotOf);
-    ASSERT_EQ(seg.comb().size(), ref.comb.size());
+    ASSERT_EQ(plan.slotOf(), ref.slotOf);
+    ASSERT_EQ(plan.comb().size(), ref.comb.size());
     for (std::size_t i = 0; i < ref.comb.size(); ++i) {
-        const auto &got = seg.comb()[i];
+        const auto &got = plan.comb()[i];
         const auto &want = ref.comb[i];
         ASSERT_TRUE(got.dst == want.dst && got.a == want.a &&
                     got.b == want.b && got.inv == want.inv)
             << "comb op " << i;
     }
-    ASSERT_EQ(seg.regs().size(), ref.regs.size());
+    ASSERT_EQ(plan.regs().size(), ref.regs.size());
     for (std::size_t i = 0; i < ref.regs.size(); ++i) {
-        const auto &got = seg.regs()[i];
+        const auto &got = plan.regs()[i];
         const auto &want = ref.regs[i];
         ASSERT_TRUE(got.dst == want.dst && got.a == want.a &&
                     got.b == want.b && got.bInv == want.bInv &&
                     got.carryInit == want.carryInit)
             << "reg op " << i;
     }
-    ASSERT_EQ(seg.segments().size(), ref.segments.size());
+    ASSERT_EQ(plan.segments().size(), ref.segments.size());
     for (std::size_t i = 0; i < ref.segments.size(); ++i) {
-        const auto &got = seg.segments()[i];
+        const auto &got = plan.segments()[i];
         const auto &want = ref.segments[i];
         ASSERT_TRUE(got.combBegin == want.combBegin &&
                     got.combEnd == want.combEnd &&
@@ -613,24 +682,21 @@ expectMatchesReference(const circuit::ExecPlan &plan,
                     got.regConsumersEnd == want.regConsumersEnd)
             << "segment " << i;
     }
-    ASSERT_EQ(seg.consumers(), ref.consumers);
-    ASSERT_EQ(seg.inputs().size(), plan.inputs().size());
-    for (std::size_t i = 0; i < plan.inputs().size(); ++i) {
-        EXPECT_EQ(seg.inputs()[i].node,
-                  ref.slotOf[plan.inputs()[i].node]);
-        EXPECT_EQ(seg.inputs()[i].port, plan.inputs()[i].port);
+    ASSERT_EQ(plan.consumers(), ref.consumers);
+    ASSERT_EQ(plan.inputs().size(), ref.inputs.size());
+    for (std::size_t i = 0; i < ref.inputs.size(); ++i) {
+        EXPECT_EQ(plan.inputs()[i].node, ref.inputs[i].node);
+        EXPECT_EQ(plan.inputs()[i].port, ref.inputs[i].port);
     }
-    ASSERT_EQ(seg.constOnes().size(), plan.constOnes().size());
-    for (std::size_t i = 0; i < plan.constOnes().size(); ++i)
-        EXPECT_EQ(seg.constOnes()[i], ref.slotOf[plan.constOnes()[i]]);
+    EXPECT_EQ(plan.constOnes(), ref.constOnes);
 }
 
-TEST(Segmentation, ScheduleMatchesDepthSortReference)
+TEST(ExecPlanSchedule, ScheduleMatchesDepthSortReference)
 {
     const std::size_t sizes[] = {1, 16, 128, 4096};
     for (const std::size_t ops : sizes)
-        expectMatchesReference(circuit::ExecPlan(makeKitchenSinkNetlist()),
-                               ops, "kitchen sink");
+        expectMatchesReference(makeKitchenSinkNetlist(), ops,
+                               "kitchen sink");
 
     Rng rng(95);
     struct Case
@@ -654,7 +720,7 @@ TEST(Segmentation, ScheduleMatchesDepthSortReference)
         options.constantPropagation = c.constantPropagation;
         const auto design = MatrixCompiler(options).compile(v);
         for (const std::size_t ops : sizes)
-            expectMatchesReference(design.plan(), ops, c.name);
+            expectMatchesReference(design.netlist(), ops, c.name);
     }
 
     // A column-tiled design: every tile carries its own plan.
@@ -667,19 +733,7 @@ TEST(Segmentation, ScheduleMatchesDepthSortReference)
     ASSERT_GT(tiled.tileCount(), 1u);
     for (std::size_t t = 0; t < tiled.tileCount(); ++t)
         for (const std::size_t ops : sizes)
-            expectMatchesReference(tiled.tile(t).plan(), ops, "tiled");
-}
-
-TEST(Segmentation, OpsForBudgetScalesAndFloors)
-{
-    using circuit::Segmentation;
-    // 4 slots of W words of 8 bytes per op.
-    EXPECT_EQ(Segmentation::opsForBudget(1),
-              Segmentation::kBudgetKib * 1024 / 32);
-    EXPECT_EQ(Segmentation::opsForBudget(4),
-              Segmentation::kBudgetKib * 1024 / 128);
-    // Very wide nodes clamp to a sane floor instead of degenerating.
-    EXPECT_EQ(Segmentation::opsForBudget(1024), 16u);
+            expectMatchesReference(tiled.tile(t).netlist(), ops, "tiled");
 }
 
 // ---------------------------------------------------------------------
