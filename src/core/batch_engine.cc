@@ -4,6 +4,7 @@
 #include <atomic>
 #include <thread>
 
+#include "circuit/block_simulator.h"
 #include "core/compiled_matrix.h"
 #include "matrix/bits.h"
 
@@ -21,6 +22,29 @@ signExtend(std::uint64_t word, int out_bits)
     if (word & sign_bit)
         word |= ~((sign_bit << 1) - 1);
     return static_cast<std::int64_t>(word);
+}
+
+/** A 64-bit all-or-nothing op mask widened to the stream word. */
+template <typename Word>
+Word
+widenMask(std::uint64_t mask)
+{
+    return static_cast<Word>(static_cast<std::int64_t>(mask));
+}
+
+/**
+ * Size a stream value array and write its constant streams, once: no
+ * op writes the ones slot, a Const1 slot or a Const0 slot (which stays
+ * zero).
+ */
+template <typename Word>
+void
+powerOn(std::vector<Word> &values, const circuit::ExecPlan &plan)
+{
+    values.assign(plan.numSlots(), 0);
+    values[plan.onesSlot()] = ~Word{0};
+    for (const auto slot : plan.constOnes())
+        values[slot] = ~Word{0};
 }
 
 /**
@@ -306,6 +330,20 @@ runBatchWide(const CompiledMatrix &design, const IntMatrix &batch,
     if (batch.rows() == 0)
         return out;
 
+    // A narrow batch would leave most of a 64-lane pass idle for
+    // drainCycles sweeps; one stream pass per row is cheaper (see
+    // kStreamMaxRows).
+    if (batch.rows() <= kStreamMaxRows && StreamEvaluator::supports(design)) {
+        StreamEvaluator stream(design);
+        for (std::size_t r = 0; r < batch.rows(); ++r)
+            stream.multiply(batch.data().data() + r * batch.cols(),
+                            &out.at(r, 0));
+        if (stats != nullptr)
+            stats->segmentsExecuted +=
+                batch.rows() * design.plan().segments().size();
+        return out;
+    }
+
     const circuit::kernels::Kernel &kernel = resolvedKernel(options);
     const unsigned lane_words = resolvedLaneWords(options, batch.rows());
     switch (lane_words) {
@@ -346,14 +384,99 @@ measureSwitchingActivity(const CompiledMatrix &design,
     return runner.sim().measuredActivity(batch.rows());
 }
 
-TapeGemv::TapeGemv(const CompiledMatrix &design, const SimOptions &options)
-    : design_(design),
-      sim_(design.plan(), &resolvedKernel(options), options.activityGating),
-      planes_((static_cast<std::size_t>(design.options().inputBits) + 1) *
-                  design.rows(),
-              0),
-      raw_(design.cols(), 0)
-{}
+bool
+StreamEvaluator::supports(const CompiledMatrix &design)
+{
+    return design.drainCycles() <= kMaxDrainCycles;
+}
+
+StreamEvaluator::StreamEvaluator(const CompiledMatrix &design)
+    : design_(design)
+{
+    SPATIAL_ASSERT(supports(design), "drainCycles ", design.drainCycles(),
+                   " exceeds the stream word");
+    if (design.drainCycles() <= 64)
+        powerOn(narrow_, design.plan());
+    else
+        powerOn(wide_, design.plan());
+}
+
+void
+StreamEvaluator::multiply(const std::int64_t *x, std::int64_t *out)
+{
+    if (!narrow_.empty())
+        multiplyT(narrow_, x, out);
+    else
+        multiplyT(wide_, x, out);
+}
+
+template <typename Word>
+void
+StreamEvaluator::multiplyT(std::vector<Word> &values, const std::int64_t *x,
+                           std::int64_t *out) const
+{
+    const circuit::ExecPlan &plan = design_.plan();
+    const std::size_t rows = design_.rows();
+    const int bwi = design_.options().inputBits;
+    const bool inputs_signed = design_.options().inputsSigned;
+    Word *v = values.data();
+
+    // An input stream carries the low bwi bits, then the sign plane for
+    // every later cycle — the port-major planes of the bit-serial path.
+    const std::uint64_t value_mask =
+        (std::uint64_t{1} << bwi) - 1; // inputBits <= 32
+    for (const auto &in : plan.inputs()) {
+        const std::int64_t value = in.port < rows ? x[in.port] : 0;
+        Word stream = static_cast<std::uint64_t>(value) & value_mask;
+        if (inputs_signed && value < 0)
+            stream |= ~Word{value_mask};
+        v[in.node] = stream;
+    }
+
+    // Both tapes ascend in destination slot and every source slot is
+    // below its op's, so the merged walk is topological.
+    const circuit::ExecPlan::CombOp *comb = plan.comb().data();
+    const circuit::ExecPlan::CombOp *comb_end = comb + plan.comb().size();
+    const auto settle = [&](const circuit::ExecPlan::CombOp &op) {
+        v[op.dst] = (v[op.a] & v[op.b]) ^ widenMask<Word>(op.inv);
+    };
+    for (const auto &op : plan.regs()) {
+        for (; comb != comb_end && comb->dst < op.dst; ++comb)
+            settle(*comb);
+        // Register output is 0 at cycle 0 and sum bit t at cycle t + 1.
+        v[op.dst] = (v[op.a] + (v[op.b] ^ widenMask<Word>(op.bInv)) +
+                     (op.carryInit & 1u))
+                    << 1;
+    }
+    for (; comb != comb_end; ++comb)
+        settle(*comb);
+
+    // Capture bit t of a column is stream bit lsbLatency + t, taken
+    // only in cycles [0, drainCycles).
+    const auto &outputs = design_.outputs();
+    const std::int64_t out_bits = design_.outputBits();
+    const std::int64_t drain = design_.drainCycles();
+    const auto &slot_of = plan.slotOf();
+    for (std::size_t c = 0; c < outputs.size(); ++c) {
+        const ColumnOutput &column = outputs[c];
+        std::uint64_t raw = 0;
+        const std::int64_t lsb = column.lsbLatency;
+        const std::int64_t bits = std::min(out_bits, drain - lsb);
+        if (column.node != circuit::kNoNode && bits > 0 && -lsb < bits) {
+            const Word stream = v[slot_of[column.node]];
+            const Word aligned = lsb >= 0 ? stream >> lsb : stream << -lsb;
+            raw = static_cast<std::uint64_t>(aligned) &
+                  ((std::uint64_t{1} << bits) - 1);
+        }
+        out[c] = signExtend(raw, static_cast<int>(out_bits));
+    }
+}
+
+TapeGemv::TapeGemv(const CompiledMatrix &design) : design_(design)
+{
+    if (StreamEvaluator::supports(design))
+        stream_.emplace(design);
+}
 
 std::vector<std::int64_t>
 TapeGemv::multiply(const std::vector<std::int64_t> &x)
@@ -368,10 +491,8 @@ TapeGemv::multiplyInto(const std::vector<std::int64_t> &x,
                        std::vector<std::int64_t> &out)
 {
     const std::size_t rows = design_.rows();
-    const std::size_t cols = design_.cols();
-    const int bwi = design_.options().inputBits;
+    [[maybe_unused]] const int bwi = design_.options().inputBits;
     const bool inputs_signed = design_.options().inputsSigned;
-    const int out_bits = design_.outputBits();
 
     if (x.size() != rows)
         SPATIAL_FATAL("input length ", x.size(), " != rows ", rows);
@@ -388,43 +509,17 @@ TapeGemv::multiplyInto(const std::vector<std::int64_t> &x,
         }
     }
 
-    sim_.reset();
-    std::fill(planes_.begin(), planes_.end(), 0);
-    for (std::size_t r = 0; r < rows; ++r) {
-        const auto word = static_cast<std::uint64_t>(x[r]);
-        for (int b = 0; b < bwi; ++b)
-            planes_[static_cast<std::size_t>(b) * rows + r] =
-                (word >> b) & 1u;
-        planes_[static_cast<std::size_t>(bwi) * rows + r] =
-            inputs_signed && x[r] < 0 ? 1u : 0u;
+    out.resize(design_.cols());
+    if (stream_) {
+        stream_->multiply(x.data(), out.data());
+        stats_.segmentsExecuted += design_.plan().segments().size();
+        return;
     }
-
-    std::fill(raw_.begin(), raw_.end(), 0);
-    const auto &outputs = design_.outputs();
-    for (std::uint32_t cycle = 0; cycle < design_.drainCycles(); ++cycle) {
-        const int plane = std::min<int>(static_cast<int>(cycle), bwi);
-        sim_.settle(planes_.data() +
-                        static_cast<std::size_t>(plane) * rows,
-                    rows);
-        for (std::size_t c = 0; c < cols; ++c) {
-            if (outputs[c].node == circuit::kNoNode)
-                continue;
-            const std::int64_t t =
-                static_cast<std::int64_t>(cycle) - outputs[c].lsbLatency;
-            if (t >= 0 && t < out_bits &&
-                (sim_.outputWord(outputs[c].node) & 1u))
-                raw_[c] |= std::uint64_t{1} << t;
-        }
-        sim_.commit();
-    }
-
-    // Bank the multiply's segment accounting before the next reset().
-    stats_.segmentsExecuted += sim_.segmentsExecuted();
-    stats_.segmentsSkipped += sim_.segmentsSkipped();
-
-    out.resize(cols);
-    for (std::size_t c = 0; c < cols; ++c)
-        out[c] = signExtend(raw_[c], out_bits);
+    // Streams too long for the widest word: one bit-serial lane.
+    IntMatrix batch(1, rows);
+    std::copy(x.begin(), x.end(), &batch.at(0, 0));
+    const IntMatrix product = runBatchWide(design_, batch, {}, &stats_);
+    std::copy(product.data().begin(), product.data().end(), out.begin());
 }
 
 } // namespace spatial::core

@@ -87,8 +87,11 @@ struct CompileOptions
 /**
  * Runtime knobs of the compiled-tape batch simulation engine (the
  * BlockSimulator running a design's ExecPlan, behind
- * CompiledMatrix::multiplyBatchWide and the batched ESN backend).  Defaults auto-size to the workload and
- * machine; see docs/simulation.md for the threading model.
+ * CompiledMatrix::multiplyBatchWide and the batched ESN backend).
+ * Defaults auto-size to the workload and machine; see
+ * docs/simulation.md for the threading model.  A batch of at most
+ * kStreamMaxRows rows ignores them: it runs one StreamEvaluator pass
+ * per row on the calling thread.
  */
 struct SimOptions
 {

@@ -258,13 +258,11 @@ TiledDesign::multiplyBatchWide(const IntMatrix &batch,
     return out;
 }
 
-TiledGemv::TiledGemv(const TiledDesign &design, const SimOptions &options)
-    : design_(design)
+TiledGemv::TiledGemv(const TiledDesign &design) : design_(design)
 {
     gemvs_.reserve(design.tileCount());
     for (std::size_t i = 0; i < design.tileCount(); ++i)
-        gemvs_.push_back(
-            std::make_unique<TapeGemv>(design.tile(i), options));
+        gemvs_.emplace_back(design.tile(i));
 }
 
 std::vector<std::int64_t>
@@ -281,11 +279,11 @@ TiledGemv::multiplyInto(const std::vector<std::int64_t> &x,
 {
     out.resize(design_.cols());
     if (gemvs_.size() == 1) {
-        gemvs_.front()->multiplyInto(x, out);
+        gemvs_.front().multiplyInto(x, out);
         return;
     }
     for (std::size_t i = 0; i < gemvs_.size(); ++i) {
-        gemvs_[i]->multiplyInto(x, scratch_);
+        gemvs_[i].multiplyInto(x, scratch_);
         std::copy(scratch_.begin(), scratch_.end(),
                   out.begin() + static_cast<std::ptrdiff_t>(
                                     design_.plan().tiles[i].colBegin));
@@ -297,7 +295,7 @@ TiledGemv::engineStats() const
 {
     BatchStats total;
     for (const auto &g : gemvs_)
-        total.add(g->engineStats());
+        total.add(g.engineStats());
     return total;
 }
 

@@ -177,16 +177,14 @@ class TiledDesign
 /**
  * Persistent single-vector executor over a tiled design: one TapeGemv
  * per tile, outputs stitched per call.  The sequential ESN update
- * cannot batch, so keeping every tile's simulator and scratch planes
- * alive across the thousands of steps matters exactly as it does for
- * the untiled TapeGemv.
+ * cannot batch, so every tile's stream value array stays alive across
+ * the thousands of steps exactly as it does for the untiled TapeGemv.
  */
 class TiledGemv
 {
   public:
     /** Bind to a design; the design must outlive this object. */
-    explicit TiledGemv(const TiledDesign &design,
-                       const SimOptions &options = {});
+    explicit TiledGemv(const TiledDesign &design);
 
     /** o = x^T V; bit-exact with TiledDesign::multiply(). */
     std::vector<std::int64_t>
@@ -201,8 +199,8 @@ class TiledGemv
 
   private:
     const TiledDesign &design_;
-    std::vector<std::unique_ptr<TapeGemv>> gemvs_; //!< one per tile
-    std::vector<std::int64_t> scratch_;            //!< per-tile output
+    std::vector<TapeGemv> gemvs_;       //!< one per tile
+    std::vector<std::int64_t> scratch_; //!< per-tile output
 };
 
 } // namespace spatial::core

@@ -80,11 +80,11 @@ class CsrBackend : public GemvBackend
 };
 
 /**
- * The paper's hardware: every multiply is a cycle-accurate simulation of
- * the compiled spatial design, executed on the compiled-tape engine
- * through a persistent TapeGemv (no per-call interpreter dispatch or
- * allocation).  Also accumulates the total simulated hardware cycles so
- * callers can report hardware time.
+ * The paper's hardware: every multiply is an exact evaluation of the
+ * compiled spatial netlist, one stream pass over its ExecPlan through a
+ * persistent TapeGemv (no per-call dispatch or allocation).  Also
+ * accumulates the hardware cycles the design would spend, drainCycles
+ * per multiply, so callers can report hardware time.
  */
 class SpatialBackend : public GemvBackend
 {
@@ -103,7 +103,7 @@ class SpatialBackend : public GemvBackend
 
     const core::CompiledMatrix &design() const { return design_; }
 
-    /** Total hardware cycles simulated across all multiplies. */
+    /** Total hardware cycles (drainCycles per pass) across all multiplies. */
     std::uint64_t totalCycles() const { return totalCycles_; }
 
   protected:

@@ -133,21 +133,20 @@ naiveAnswer(core::TiledGemv &gemv, const Request &request,
 double
 runNaive(
     const std::vector<std::shared_ptr<const core::TiledDesign>> &designs,
-    const core::SimOptions &sim, unsigned workers,
-    const Workload &workload, std::vector<IntMatrix> &outputs)
+    unsigned workers, const Workload &workload,
+    std::vector<IntMatrix> &outputs)
 {
     outputs.assign(workload.stream.size(), IntMatrix());
     std::atomic<std::size_t> next{0};
     const auto start = Clock::now();
     auto body = [&] {
-        // One persistent single-vector executor per (worker, design),
-        // on the run's configured engine knobs — the comparison must
-        // vary only the batching dimension, not the gating mode.
+        // One persistent single-vector executor per (worker, design):
+        // every request's vectors run one stream pass each, the exact
+        // evaluation the batched path would run for a lone vector.
         std::vector<std::unique_ptr<core::TiledGemv>> gemvs;
         gemvs.reserve(designs.size());
         for (const auto &design : designs)
-            gemvs.push_back(
-                std::make_unique<core::TiledGemv>(*design, sim));
+            gemvs.push_back(std::make_unique<core::TiledGemv>(*design));
         const std::size_t cols = designs.front()->cols();
         for (std::size_t i = next.fetch_add(1);
              i < workload.stream.size(); i = next.fetch_add(1)) {
@@ -305,8 +304,8 @@ runRemote(const LoadGenOptions &options)
             std::vector<IntMatrix> naive;
             const unsigned workers =
                 std::max(1u, std::thread::hardware_concurrency());
-            result.naiveSeconds = runNaive(local, options.serve.sim,
-                                           workers, workload, naive);
+            result.naiveSeconds =
+                runNaive(local, workers, workload, naive);
             result.naiveThroughput =
                 static_cast<double>(workload.stream.size()) /
                 result.naiveSeconds;
@@ -558,8 +557,7 @@ runLoadGen(const LoadGenOptions &options)
                 refs.push_back(server.design(id));
             std::vector<IntMatrix> naive;
             result.naiveSeconds =
-                runNaive(refs, server.options().sim,
-                         server.options().workers, workload, naive);
+                runNaive(refs, server.options().workers, workload, naive);
             result.naiveThroughput =
                 static_cast<double>(result.completed) /
                 result.naiveSeconds;

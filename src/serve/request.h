@@ -6,9 +6,9 @@
  * a single GEMV, a pre-batched block of GEMVs, one integer-ESN state
  * update, or a whole sequential ESN trajectory.  The first three are
  * *lane-shaped* — each contributes one or more independent vectors that
- * the Batcher packs into a wide engine group — while EsnSequence is
- * inherently sequential (each step feeds the next) and runs on a
- * persistent TapeGemv instead.
+ * the Batcher packs into one engine group — while EsnSequence is
+ * inherently sequential (each step feeds the next) and runs one stream
+ * pass per step on a persistent TiledGemv instead.
  *
  * Responses carry the decoded outputs plus the timing breadcrumbs the
  * load generator turns into latency percentiles, so open-loop clients
@@ -170,8 +170,8 @@ struct Response
     FlushReason flushReason = FlushReason::Direct;
 
     /**
-     * Activity-gated tape segments the executing engine ran for this
-     * request's group (or EsnSequence job); 0 when gating is disabled.
+     * ExecPlan segments the engine ran for this request's group (or
+     * EsnSequence job); a stream pass runs each segment once per vector.
      */
     std::uint64_t segmentsExecuted = 0;
 

@@ -376,10 +376,12 @@ Server::executeGroup(const core::TiledDesign &design, Group group)
     const std::size_t rows = design.rows();
     const std::size_t cols = design.cols();
 
-    // Pad the group to the engine's 64-lane boundary; the zero lanes
-    // are valid inputs and their outputs are simply dropped.
+    // The engine pads a bit-serial pass to its 64-lane boundary itself,
+    // and a group of at most core::kStreamMaxRows lanes takes the
+    // stream path instead, so the batch holds exactly the group's
+    // lanes.  The padded count still books a bit-serial pass's cost.
     const std::size_t padded = (group.lanes + 63) / 64 * 64;
-    IntMatrix batch(padded, rows);
+    IntMatrix batch(group.lanes, rows);
     std::size_t lane = 0;
     for (const auto &p : group.requests) {
         const Request &req = p.request;
@@ -467,7 +469,7 @@ Server::executeSequence(const core::TiledDesign &design, Group group)
     const std::size_t cols = design.cols();
     const std::size_t steps = req.injectSeq.rows();
 
-    core::TiledGemv gemv(design, options_.sim);
+    core::TiledGemv gemv(design);
     std::vector<std::int64_t> state = req.vec;
     std::vector<std::int64_t> product(cols);
     IntMatrix trajectory(steps, cols);

@@ -18,11 +18,13 @@
  *     persistent worker pool serves designs round-robin, taking a
  *     design's oldest ready group or else idle-cutting its open group
  *     (one hot model cannot starve the rest, and a lone request waits
- *     at most one turn), pads each group to the 64-lane engine
- *     boundary, runs it through core::runBatchWide, and scatters the
- *     decoded rows back to the member futures.  EsnSequence requests
- *     are inherently sequential and run on a per-job core::TapeGemv
- *     instead, scheduled through the same fair queues.
+ *     at most one turn), runs it through core::runBatchWide — one
+ *     bit-serial pass over the group's lanes, or one stream pass per
+ *     lane for a group of at most core::kStreamMaxRows — and scatters
+ *     the decoded rows back to the member futures.  EsnSequence
+ *     requests are inherently sequential and run on a per-job
+ *     core::TiledGemv (one stream pass per step) instead, scheduled
+ *     through the same fair queues.
  *
  * All synchronization lives here: Batcher and the ready queues are
  * driven under one scheduling mutex; group execution (the expensive
@@ -119,7 +121,8 @@ struct ServerStats
     std::size_t flushDrain = 0;    //!< groups cut by drain()
     std::size_t enginePasses = 0;  //!< netlist passes across all groups
                                    //!< (group lanes / adaptive 64*W)
-    std::uint64_t segmentsExecuted = 0; //!< activity-gated tape segments run
+    std::uint64_t segmentsExecuted = 0; //!< plan segments run (a stream
+                                        //!< pass: each once per vector)
     std::uint64_t segmentsSkipped = 0;  //!< segments skipped as quiescent
     std::size_t sequences = 0;     //!< EsnSequence jobs executed
     std::size_t sequenceSteps = 0; //!< total sequential ESN steps

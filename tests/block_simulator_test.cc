@@ -229,7 +229,10 @@ checkBatchEquivalence(const IntMatrix &weights, CompileOptions options,
     const auto design = MatrixCompiler(options).compile(weights);
     Rng rng(seed);
 
-    for (const std::size_t batch_rows : {std::size_t{1}, std::size_t{63},
+    // Batches of at most kStreamMaxRows rows take the stream path, so
+    // the smallest batch here is the narrowest bit-serial one.
+    for (const std::size_t batch_rows : {core::kStreamMaxRows + 1,
+                                         std::size_t{63},
                                          std::size_t{64}, std::size_t{65},
                                          std::size_t{130}}) {
         IntMatrix batch(batch_rows, weights.rows());
