@@ -13,6 +13,10 @@ ExecPlan::ExecPlan(const Netlist &netlist, std::size_t ops_per_segment)
 {
     const std::size_t num_slots = numSlots();
     const auto num_nodes = static_cast<NodeId>(numNodes_);
+    // Raw array views: every pass below walks them by id.
+    const CompKind *kinds = netlist.kinds().data();
+    const NodeId *src_a = netlist.srcAs().data();
+    const NodeId *src_b = netlist.srcBs().data();
     const auto isComb = [](CompKind kind) {
         return kind == CompKind::Not || kind == CompKind::And;
     };
@@ -23,13 +27,13 @@ ExecPlan::ExecPlan(const Netlist &netlist, std::size_t ops_per_segment)
     // An op's second source in id space: NOT reads the ones slot and a
     // DFF the zero slot, which keep their indices in slot space too.
     const auto srcB = [&](NodeId id) {
-        switch (netlist.kind(id)) {
+        switch (kinds[id]) {
           case CompKind::Not:
             return onesSlot();
           case CompKind::Dff:
             return zeroSlot();
           default:
-            return netlist.srcB(id);
+            return src_b[id];
         }
     };
 
@@ -37,7 +41,8 @@ ExecPlan::ExecPlan(const Netlist &netlist, std::size_t ops_per_segment)
     // and constants are 0, registers are one past their deepest source,
     // comb ops propagate within the cycle.  The netlist is in SSA
     // order (every source id is below its consumer), so one ascending
-    // id walk resolves all depths.
+    // id walk resolves all depths and counts each depth's comb and
+    // register ops.
     //
     // The same walk numbers the value slots that no op writes (inputs
     // and constants, never written by a sweep): they keep the front of
@@ -45,17 +50,22 @@ ExecPlan::ExecPlan(const Netlist &netlist, std::size_t ops_per_segment)
     // emitted here.  Const0 needs no entry: value slots power on to
     // zero and nothing ever writes a Const0 slot.
     std::vector<std::uint32_t> depth(num_slots, 0);
-    std::vector<std::uint32_t> ops_at_depth;
+    std::vector<std::uint32_t> comb_at_depth;
+    std::vector<std::uint32_t> regs_at_depth;
     slotOf_.assign(num_slots, 0);
     NodeId next_slot = 0;
     for (NodeId id = 0; id < num_nodes; ++id) {
-        const CompKind kind = netlist.kind(id);
-        if (isComb(kind) || isReg(kind)) {
-            depth[id] = std::max(depth[netlist.srcA(id)], depth[srcB(id)]) +
-                        (isReg(kind) ? 1 : 0);
-            if (depth[id] >= ops_at_depth.size())
-                ops_at_depth.resize(depth[id] + 1, 0);
-            ++ops_at_depth[depth[id]];
+        const CompKind kind = kinds[id];
+        const bool reg = isReg(kind);
+        if (reg || isComb(kind)) {
+            const std::uint32_t d =
+                std::max(depth[src_a[id]], depth[srcB(id)]) + (reg ? 1 : 0);
+            depth[id] = d;
+            if (d >= comb_at_depth.size()) {
+                comb_at_depth.resize(d + 1, 0);
+                regs_at_depth.resize(d + 1, 0);
+            }
+            ++(reg ? regs_at_depth : comb_at_depth)[d];
             continue;
         }
         const NodeId slot = next_slot++;
@@ -63,7 +73,7 @@ ExecPlan::ExecPlan(const Netlist &netlist, std::size_t ops_per_segment)
         if (kind == CompKind::Const1)
             constOnes_.push_back(slot);
         else if (kind == CompKind::Input)
-            inputs_.push_back(InputOp{slot, netlist.inputPort(id)});
+            inputs_.push_back(InputOp{slot, src_a[id]});
     }
 
     // Schedule every op by (depth, id) with a counting sort: each
@@ -75,100 +85,126 @@ ExecPlan::ExecPlan(const Netlist &netlist, std::size_t ops_per_segment)
     // share segments.  Each segment thereby owns one contiguous slice
     // of the value array; the ones/zero slots stay at numNodes and
     // numNodes + 1 so a simulator's reset code is layout-agnostic.
+    //
+    // The comb and commit tapes are the comb and register ops in slot
+    // order, so each depth also owns one contiguous run of each tape,
+    // and a second ascending id walk emits every op straight into its
+    // place: its sources have lower ids, so their slots are known.
     const NodeId first_op_slot = next_slot;
-    std::vector<NodeId> depth_cursor(ops_at_depth.size());
-    for (std::size_t d = 0; d < ops_at_depth.size(); ++d) {
-        depth_cursor[d] = next_slot;
-        next_slot += ops_at_depth[d];
-    }
-    // Schedule position -> node id.
-    std::vector<NodeId> order(next_slot - first_op_slot);
-    for (NodeId id = 0; id < num_nodes; ++id) {
-        const CompKind kind = netlist.kind(id);
-        if (!isComb(kind) && !isReg(kind))
-            continue;
-        const NodeId slot = depth_cursor[depth[id]]++;
-        slotOf_[id] = slot;
-        order[slot - first_op_slot] = id;
+    const std::size_t num_depths = comb_at_depth.size();
+    std::vector<NodeId> slot_cursor(num_depths);
+    std::vector<std::uint32_t> comb_cursor(num_depths);
+    std::vector<std::uint32_t> reg_cursor(num_depths);
+    std::uint32_t num_comb = 0;
+    std::uint32_t num_regs = 0;
+    for (std::size_t d = 0; d < num_depths; ++d) {
+        slot_cursor[d] = first_op_slot + num_comb + num_regs;
+        comb_cursor[d] = num_comb;
+        reg_cursor[d] = num_regs;
+        num_comb += comb_at_depth[d];
+        num_regs += regs_at_depth[d];
     }
     slotOf_[onesSlot()] = onesSlot();
     slotOf_[zeroSlot()] = zeroSlot();
 
-    // Chunk into segments, emitting every op in slot space, and record
-    // which segment owns each dst slot (for the frontier scan), tagged
-    // with kRegOwner when the slot is a register's.
-    constexpr std::uint32_t kUnowned = 0xffffffffu;
-    constexpr std::uint32_t kRegOwner = 0x80000000u;
-    std::vector<std::uint32_t> owner(num_slots, kUnowned);
-    const std::size_t num_comb = netlist.countKind(CompKind::Not) +
-                                 netlist.countKind(CompKind::And);
-    comb_.reserve(num_comb);
-    regs_.reserve(order.size() - num_comb);
-    for (std::size_t first = 0; first < order.size();
-         first += opsPerSegment_) {
-        const std::size_t last =
-            std::min(order.size(), first + opsPerSegment_);
-        Segment seg{};
-        seg.combBegin = static_cast<std::uint32_t>(comb_.size());
-        seg.regBegin = static_cast<std::uint32_t>(regs_.size());
-        const auto index = static_cast<std::uint32_t>(segments_.size());
-        for (std::size_t i = first; i < last; ++i) {
-            const auto dst = static_cast<NodeId>(first_op_slot + i);
-            const NodeId id = order[i];
-            const NodeId a = slotOf_[netlist.srcA(id)];
-            const NodeId b = slotOf_[srcB(id)];
-            switch (netlist.kind(id)) {
-              case CompKind::Not:
-                comb_.push_back(CombOp{dst, a, b, ~std::uint64_t{0}});
-                owner[dst] = index;
-                break;
-              case CompKind::And:
-                comb_.push_back(CombOp{dst, a, b, 0});
-                owner[dst] = index;
-                break;
-              case CompKind::Sub:
-                regs_.push_back(RegOp{dst, a, b, ~std::uint64_t{0},
-                                      ~std::uint64_t{0}});
-                owner[dst] = index | kRegOwner;
-                break;
-              default: // Dff (b is the zero slot) and Adder
-                regs_.push_back(RegOp{dst, a, b, 0, 0});
-                owner[dst] = index | kRegOwner;
-                break;
-            }
+    // owner[] maps each slot to the consumer list that must wake when
+    // it changes: list 2s holds segment s's comb readers and list
+    // 2s + 1 its register readers.  Slots no op writes (inputs,
+    // constants, the ones/zero slots) map to the extra list
+    // 2 * num_segments, which is never packed.  The emission below
+    // writes the comb/reg bit; the segment scan adds 2s.
+    const std::size_t num_ops = std::size_t{num_comb} + num_regs;
+    const std::size_t num_segments =
+        num_ops == 0 ? 0 : (num_ops - 1) / opsPerSegment_ + 1;
+    const auto unowned = static_cast<std::uint32_t>(2 * num_segments);
+    std::vector<std::uint32_t> owner(num_slots, unowned);
+    comb_.resize(num_comb);
+    regs_.resize(num_regs);
+    for (NodeId id = 0; id < num_nodes; ++id) {
+        const CompKind kind = kinds[id];
+        if (!isComb(kind) && !isReg(kind))
+            continue;
+        const std::uint32_t d = depth[id];
+        const NodeId dst = slot_cursor[d]++;
+        slotOf_[id] = dst;
+        const NodeId a = slotOf_[src_a[id]];
+        const NodeId b = slotOf_[srcB(id)];
+        switch (kind) {
+          case CompKind::Not:
+            comb_[comb_cursor[d]++] = CombOp{dst, a, b, ~std::uint64_t{0}};
+            owner[dst] = 0;
+            break;
+          case CompKind::And:
+            comb_[comb_cursor[d]++] = CombOp{dst, a, b, 0};
+            owner[dst] = 0;
+            break;
+          case CompKind::Sub:
+            regs_[reg_cursor[d]++] = RegOp{dst, a, b, ~std::uint64_t{0},
+                                           ~std::uint64_t{0}};
+            owner[dst] = 1;
+            break;
+          default: // Dff (b is the zero slot) and Adder
+            regs_[reg_cursor[d]++] = RegOp{dst, a, b, 0, 0};
+            owner[dst] = 1;
+            break;
         }
-        seg.combEnd = static_cast<std::uint32_t>(comb_.size());
-        seg.regEnd = static_cast<std::uint32_t>(regs_.size());
-        segments_.push_back(seg);
     }
 
-    // Frontier: the distinct segments owning each segment's sources.
-    // Input and constant sources are unowned: constants never change
-    // after reset, and cycles whose driven planes changed run the dense
-    // fallback, which executes every segment anyway.  Segments are
-    // visited in ascending order, so every readers list comes out
-    // sorted, and checking its back keeps it duplicate-free.
-    const std::size_t num_segments = segments_.size();
-    std::vector<std::vector<std::uint32_t>> comb_readers(num_segments);
-    std::vector<std::vector<std::uint32_t>> reg_readers(num_segments);
+    // Chunk the slot order into segments.
+    segments_.resize(num_segments);
+    std::uint32_t comb_seen = 0;
+    for (std::size_t s = 0; s < num_segments; ++s) {
+        const std::size_t first = s * opsPerSegment_;
+        const std::size_t last =
+            first + std::min(num_ops - first, opsPerSegment_);
+        Segment &seg = segments_[s];
+        seg.combBegin = comb_seen;
+        seg.regBegin = static_cast<std::uint32_t>(first - comb_seen);
+        for (std::size_t i = first; i < last; ++i) {
+            std::uint32_t &list = owner[first_op_slot + i];
+            comb_seen += list == 0 ? 1 : 0;
+            list += static_cast<std::uint32_t>(2 * s);
+        }
+        seg.combEnd = comb_seen;
+        seg.regEnd = static_cast<std::uint32_t>(last - comb_seen);
+    }
+
+    // Frontier: the distinct segments owning each segment's sources,
+    // split by what is read: comb values propagate within the cycle,
+    // register values only after the next flip.  Input and constant
+    // sources are unowned: constants never change after reset, and
+    // cycles whose driven planes changed run the dense fallback, which
+    // executes every segment anyway.  Reads inside the owning segment
+    // need no wake — a segment recomputes everything when it runs, and
+    // its own register changes re-arm it via the reg_change self-wake.
+    //
+    // last_reader[l] is the last segment added to list l.  Stamping a
+    // reader's own lists and the unowned list before its scan makes
+    // "already added" the only test per source.  Readers are scanned
+    // in ascending order, so a counting sort by list packs every list
+    // sorted and duplicate-free.
+    struct Edge
+    {
+        std::uint32_t list;
+        std::uint32_t reader;
+    };
+    std::vector<Edge> edges;
+    std::vector<std::uint32_t> list_begin(2 * num_segments + 2, 0);
+    std::vector<std::uint32_t> last_reader(2 * num_segments + 1,
+                                           0xffffffffu);
     for (std::size_t s = 0; s < num_segments; ++s) {
         const Segment &seg = segments_[s];
         const auto reader = static_cast<std::uint32_t>(s);
+        last_reader[2 * s] = reader;
+        last_reader[2 * s + 1] = reader;
+        last_reader[unowned] = reader;
         const auto addSource = [&](NodeId src) {
-            const std::uint32_t tagged = owner[src];
-            const std::uint32_t i = tagged & ~kRegOwner;
-            // The inverse index (who to wake on a change), split by
-            // what is being read: comb values propagate within the
-            // cycle, register values only after the next flip.  Reads
-            // inside the owning segment need no wake — a segment
-            // recomputes everything when it runs, and its own register
-            // changes re-arm it via the reg_change self-wake.
-            if (tagged == kUnowned || i == reader)
+            const std::uint32_t list = owner[src];
+            if (last_reader[list] == reader)
                 return;
-            auto &readers = (tagged & kRegOwner) != 0 ? reg_readers[i]
-                                                      : comb_readers[i];
-            if (readers.empty() || readers.back() != reader)
-                readers.push_back(reader);
+            last_reader[list] = reader;
+            ++list_begin[list + 1];
+            edges.push_back(Edge{list, reader});
         };
         for (std::uint32_t i = seg.combBegin; i < seg.combEnd; ++i) {
             addSource(comb_[i].a);
@@ -179,20 +215,18 @@ ExecPlan::ExecPlan(const Netlist &netlist, std::size_t ops_per_segment)
             addSource(regs_[i].b);
         }
     }
-
+    for (std::size_t l = 0; l < 2 * num_segments; ++l)
+        list_begin[l + 1] += list_begin[l];
     for (std::size_t s = 0; s < num_segments; ++s) {
         Segment &seg = segments_[s];
-        const auto pack = [&](const std::vector<std::uint32_t> &readers,
-                              std::uint32_t &begin, std::uint32_t &end) {
-            begin = static_cast<std::uint32_t>(consumers_.size());
-            consumers_.insert(consumers_.end(), readers.begin(),
-                              readers.end());
-            end = static_cast<std::uint32_t>(consumers_.size());
-        };
-        pack(comb_readers[s], seg.combConsumersBegin,
-             seg.combConsumersEnd);
-        pack(reg_readers[s], seg.regConsumersBegin, seg.regConsumersEnd);
+        seg.combConsumersBegin = list_begin[2 * s];
+        seg.combConsumersEnd = list_begin[2 * s + 1];
+        seg.regConsumersBegin = list_begin[2 * s + 1];
+        seg.regConsumersEnd = list_begin[2 * s + 2];
     }
+    consumers_.resize(edges.size());
+    for (const Edge &e : edges)
+        consumers_[list_begin[e.list]++] = e.reader;
 }
 
 } // namespace spatial::circuit

@@ -29,6 +29,52 @@ compKindName(CompKind kind)
     return "?";
 }
 
+std::optional<Netlist>
+Netlist::fromArrays(std::vector<CompKind> kinds, std::vector<NodeId> srcA,
+                    std::vector<NodeId> srcB, std::size_t numInputPorts)
+{
+    const std::size_t n = kinds.size();
+    if (srcA.size() != n || srcB.size() != n || n >= kNoNode)
+        return std::nullopt;
+    std::size_t derived_ports = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const NodeId a = srcA[i];
+        const NodeId b = srcB[i];
+        // Checked as a byte: the arrays may hold any value at all.
+        const auto kind = static_cast<std::uint8_t>(kinds[i]);
+        bool ok = false;
+        switch (static_cast<CompKind>(kind)) {
+          case CompKind::Const0:
+          case CompKind::Const1:
+            ok = a == kNoNode && b == kNoNode;
+            break;
+          case CompKind::Input:
+            ok = a < numInputPorts && b == kNoNode;
+            derived_ports = std::max(derived_ports, std::size_t{a} + 1);
+            break;
+          case CompKind::Dff:
+          case CompKind::Not:
+            ok = a < i && b == kNoNode;
+            break;
+          case CompKind::And:
+          case CompKind::Adder:
+          case CompKind::Sub:
+            ok = a < i && b < i;
+            break;
+        }
+        if (!ok) // also every kind byte above Sub
+            return std::nullopt;
+    }
+    if (derived_ports != numInputPorts)
+        return std::nullopt;
+    Netlist netlist;
+    netlist.kinds_ = std::move(kinds);
+    netlist.srcA_ = std::move(srcA);
+    netlist.srcB_ = std::move(srcB);
+    netlist.numInputPorts_ = numInputPorts;
+    return netlist;
+}
+
 NodeId
 Netlist::append(CompKind kind, NodeId a, NodeId b)
 {

@@ -15,6 +15,7 @@
 #define SPATIAL_CIRCUIT_NETLIST_H
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,23 @@ const char *compKindName(CompKind kind);
 class Netlist
 {
   public:
+    /**
+     * Adopt three node arrays (e.g. read from a file) after one
+     * validating pass that enforces exactly what the builders do, so
+     * untrusted arrays can never yield a netlist the builders could
+     * not have produced:
+     *  - every kind, checked as a byte, is at most Sub;
+     *  - SSA order: every source of an op is below the op's id;
+     *  - every Input port is below `numInputPorts`, and the port count
+     *    derived from the Inputs equals `numInputPorts`;
+     *  - unused source fields hold kNoNode (srcB of Const, Input, DFF
+     *    and NOT; srcA of Const), as the builders write them.
+     * Returns nullopt on any violation or on arrays of unequal length.
+     */
+    static std::optional<Netlist>
+    fromArrays(std::vector<CompKind> kinds, std::vector<NodeId> srcA,
+               std::vector<NodeId> srcB, std::size_t numInputPorts);
+
     /** Add a constant-0 stream. */
     NodeId addConst0();
 
@@ -86,6 +104,13 @@ class Netlist
 
     std::size_t numNodes() const { return kinds_.size(); }
     std::size_t numInputPorts() const { return numInputPorts_; }
+
+    /** The raw node arrays, indexed by NodeId (bulk serialization). */
+    const std::vector<CompKind> &kinds() const { return kinds_; }
+    /** First sources (the port index for Input nodes). */
+    const std::vector<NodeId> &srcAs() const { return srcA_; }
+    /** Second sources (kNoNode for nodes with at most one source). */
+    const std::vector<NodeId> &srcBs() const { return srcB_; }
 
     CompKind kind(NodeId id) const { return kinds_[check(id)]; }
     NodeId srcA(NodeId id) const { return srcA_[check(id)]; }

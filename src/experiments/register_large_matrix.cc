@@ -162,7 +162,7 @@ makeLargeMatrix()
         "Tile count grows with dim once the ones-cost passes the "
         "device budget; `load x` (compile time over cold-load time) "
         "grows with dim and should sit well above 5x by dim 2048 — "
-        "loading replays the netlist linearly while compiling "
+        "loading validates the netlist linearly while compiling "
         "re-derives it.";
     return exp;
 }

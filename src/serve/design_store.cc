@@ -115,8 +115,8 @@ DesignStore::get(const experiments::DesignKey &key,
             std::shared_ptr<const core::TiledDesign> design;
 
             // Cold tier first: a demoted design rematerializes from
-            // its spill file — netlist replay plus plan rebuild, not
-            // a recompile.  Any validation failure falls back, and
+            // its spill file — a bulk netlist load plus plan rebuild,
+            // not a recompile.  Any validation failure falls back, and
             // the unusable file is erased so the next demotion writes
             // a fresh one (spill files are otherwise write-once).
             if (cold_ != nullptr) {

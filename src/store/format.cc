@@ -1,5 +1,6 @@
 #include "store/format.h"
 
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -51,27 +52,35 @@ class DesignSerializer
 namespace
 {
 
-/** Little-endian append-only byte sink. */
+// The format is little-endian and both ends copy scalars and node
+// arrays with memcpy, so a big-endian host would need a byte-swap path
+// that nothing builds or tests.
+static_assert(std::endian::native == std::endian::little,
+              "the .sptd format is read and written in host byte order");
+
+/** Append-only byte sink; scalars and arrays go in with memcpy. */
 struct Writer
 {
     std::vector<std::uint8_t> bytes;
 
+    void raw(const void *src, std::size_t n)
+    {
+        const auto *p = static_cast<const std::uint8_t *>(src);
+        bytes.insert(bytes.end(), p, p + n);
+    }
+    template <typename T>
+    void array(const std::vector<T> &v)
+    {
+        raw(v.data(), v.size() * sizeof(T));
+    }
     void u8(std::uint8_t v) { bytes.push_back(v); }
-    void u32(std::uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-    void u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-    void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-    void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+    void u32(std::uint32_t v) { raw(&v, sizeof v); }
+    void u64(std::uint64_t v) { raw(&v, sizeof v); }
+    void i32(std::int32_t v) { raw(&v, sizeof v); }
+    void i64(std::int64_t v) { raw(&v, sizeof v); }
 };
 
-/** Bounds-checked little-endian reader; sticky failure flag. */
+/** Bounds-checked reader; sticky failure flag. */
 struct Reader
 {
     const std::uint8_t *data;
@@ -87,32 +96,32 @@ struct Reader
         }
         return true;
     }
-    std::uint8_t u8()
+    /** Copy `n` bytes out; leaves `dst` untouched on a short read. */
+    void raw(void *dst, std::size_t n)
     {
-        if (!need(1))
-            return 0;
-        return data[pos++];
+        if (!need(n))
+            return;
+        std::memcpy(dst, data + pos, n);
+        pos += n;
     }
-    std::uint32_t u32()
+    /** Fill `v` (already sized) from the next bytes. */
+    template <typename T>
+    void array(std::vector<T> &v)
     {
-        if (!need(4))
-            return 0;
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(data[pos++]) << (8 * i);
+        raw(v.data(), v.size() * sizeof(T));
+    }
+    template <typename T>
+    T scalar()
+    {
+        T v{};
+        raw(&v, sizeof v);
         return v;
     }
-    std::uint64_t u64()
-    {
-        if (!need(8))
-            return 0;
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(data[pos++]) << (8 * i);
-        return v;
-    }
-    std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-    std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
+    std::uint8_t u8() { return scalar<std::uint8_t>(); }
+    std::uint32_t u32() { return scalar<std::uint32_t>(); }
+    std::uint64_t u64() { return scalar<std::uint64_t>(); }
+    std::int32_t i32() { return scalar<std::int32_t>(); }
+    std::int64_t i64() { return scalar<std::int64_t>(); }
 };
 
 /** Shape/count sanity bound: nothing real comes close. */
@@ -178,19 +187,16 @@ writeTile(Writer &w, const core::CompiledMatrix &tile)
     const circuit::Netlist &netlist = tile.netlist();
     w.u64(netlist.numNodes());
     w.u64(netlist.numInputPorts());
-    for (std::size_t i = 0; i < netlist.numNodes(); ++i) {
-        const auto id = static_cast<circuit::NodeId>(i);
-        w.u8(static_cast<std::uint8_t>(netlist.kind(id)));
-        w.u32(netlist.srcA(id));
-        w.u32(netlist.srcB(id));
-    }
+    w.array(netlist.kinds());
+    w.array(netlist.srcAs());
+    w.array(netlist.srcBs());
 }
 
 /**
- * Read one tile, replaying the netlist through the public builders so
- * every structural invariant (kinds in range, SSA ordering, port
- * bounds) is enforced before an ExecPlan ever sees it.  Returns null
- * on any violation.
+ * Read one tile.  The netlist arrays are copied out in bulk and then
+ * validated in one pass by Netlist::fromArrays (kinds in range, SSA
+ * ordering, port bounds, unused sources empty) before an ExecPlan ever
+ * sees them.  Returns null on any violation.
  */
 std::shared_ptr<const core::CompiledMatrix>
 readTile(Reader &r, const core::CompileOptions &options,
@@ -228,69 +234,30 @@ readTile(Reader &r, const core::CompileOptions &options,
 
     const std::uint64_t num_nodes = r.u64();
     const std::uint64_t num_ports = r.u64();
+    constexpr std::size_t kNodeBytes =
+        sizeof(circuit::CompKind) + 2 * sizeof(circuit::NodeId);
+    // Size the arrays only once the bytes are known to be there, so a
+    // corrupt count cannot ask for gigabytes.
     if (r.failed || num_nodes == 0 || num_nodes > kMaxReasonable ||
-        num_ports == 0 || num_ports > rows)
+        num_ports == 0 || num_ports > rows ||
+        !r.need(num_nodes * kNodeBytes))
         return nullptr;
-    circuit::Netlist netlist;
-    for (std::uint64_t i = 0; i < num_nodes; ++i) {
-        const std::uint8_t kind_byte = r.u8();
-        const std::uint32_t a = r.u32();
-        const std::uint32_t b = r.u32();
-        if (r.failed ||
-            kind_byte > static_cast<std::uint8_t>(circuit::CompKind::Sub))
-            return nullptr;
-        const auto kind = static_cast<circuit::CompKind>(kind_byte);
-        const bool a_ok = a < i; // SSA: sources precede their sinks
-        const bool b_ok = b < i;
-        switch (kind) {
-          case circuit::CompKind::Const0:
-            netlist.addConst0();
-            break;
-          case circuit::CompKind::Const1:
-            netlist.addConst1();
-            break;
-          case circuit::CompKind::Input:
-            if (a >= num_ports)
-                return nullptr;
-            netlist.addInput(a);
-            break;
-          case circuit::CompKind::Dff:
-            if (!a_ok)
-                return nullptr;
-            netlist.addDff(a);
-            break;
-          case circuit::CompKind::Not:
-            if (!a_ok)
-                return nullptr;
-            netlist.addNot(a);
-            break;
-          case circuit::CompKind::And:
-            if (!a_ok || !b_ok)
-                return nullptr;
-            netlist.addAnd(a, b);
-            break;
-          case circuit::CompKind::Adder:
-            if (!a_ok || !b_ok)
-                return nullptr;
-            netlist.addAdder(a, b);
-            break;
-          case circuit::CompKind::Sub:
-            if (!a_ok || !b_ok)
-                return nullptr;
-            netlist.addSub(a, b);
-            break;
-        }
-    }
-    // Every declared port must actually be driven: the builder derives
-    // the port count from the highest port it saw.
-    if (netlist.numInputPorts() != num_ports)
+    std::vector<circuit::CompKind> kinds(num_nodes);
+    std::vector<circuit::NodeId> src_a(num_nodes);
+    std::vector<circuit::NodeId> src_b(num_nodes);
+    r.array(kinds);
+    r.array(src_a);
+    r.array(src_b);
+    auto netlist = circuit::Netlist::fromArrays(
+        std::move(kinds), std::move(src_a), std::move(src_b), num_ports);
+    if (!netlist)
         return nullptr;
     for (const auto &out : outputs)
         if (out.node != circuit::kNoNode && out.node >= num_nodes)
             return nullptr;
 
     return std::make_shared<const core::CompiledMatrix>(
-        DesignSerializer::build(std::move(netlist), std::move(outputs),
+        DesignSerializer::build(std::move(*netlist), std::move(outputs),
                                 options, rows, cols, weight_bits,
                                 output_bits, weight_ones,
                                 drain_cycles));
@@ -321,14 +288,42 @@ loadStatusName(LoadStatus status)
 }
 
 std::uint64_t
-fnv1a(const std::uint8_t *data, std::size_t size)
+payloadChecksum(const std::uint8_t *data, std::size_t size)
 {
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    for (std::size_t i = 0; i < size; ++i) {
-        hash ^= data[i];
-        hash *= 0x100000001b3ull;
+    // Every step is a bijection of the running state for a fixed
+    // input: XOR-ing a word, multiplying by an odd constant (mod
+    // 2^64), and the xor-shift that folds high bits back down (without
+    // it, a flip of bit 63 in two words of one lane would cancel).  So
+    // changing any single word, or any single bit, changes the result.
+    // Four independent lanes keep four multiplies in flight instead of
+    // one dependent multiply per byte.
+    constexpr std::uint64_t kPrime = 0x100000001b3ull; // FNV-64 prime
+    const auto step = [](std::uint64_t h, std::uint64_t word) {
+        h = (h ^ word) * kPrime;
+        return h ^ (h >> 29);
+    };
+    const auto word_at = [data](std::size_t i) {
+        std::uint64_t w;
+        std::memcpy(&w, data + i, sizeof w);
+        return w;
+    };
+    std::uint64_t lanes[4] = {0xcbf29ce484222325ull, 0x84222325cbf29ce4ull,
+                              0x9e3779b97f4a7c15ull, 0xc2b2ae3d27d4eb4full};
+    std::size_t i = 0;
+    for (; i + 32 <= size; i += 32)
+        for (int l = 0; l < 4; ++l)
+            lanes[l] = step(lanes[l], word_at(i + 8 * l));
+    std::uint64_t h = lanes[0];
+    for (int l = 1; l < 4; ++l)
+        h = step(h, lanes[l]);
+    for (; i + 8 <= size; i += 8)
+        h = step(h, word_at(i));
+    if (i < size) { // the 1-7 tail bytes, zero-padded to a word
+        std::uint64_t tail = 0;
+        std::memcpy(&tail, data + i, size - i);
+        h = step(h, tail);
     }
-    return hash;
+    return step(h, size);
 }
 
 std::vector<std::uint8_t>
@@ -366,7 +361,7 @@ serializeDesign(const experiments::DesignKey &key,
     out.u32(kMagic);
     out.u32(kFormatVersion);
     out.u64(payload.bytes.size());
-    out.u64(fnv1a(payload.bytes.data(), payload.bytes.size()));
+    out.u64(payloadChecksum(payload.bytes.data(), payload.bytes.size()));
     out.bytes.insert(out.bytes.end(), payload.bytes.begin(),
                      payload.bytes.end());
     return out.bytes;
@@ -389,7 +384,7 @@ deserializeDesign(const std::uint8_t *data, std::size_t size,
     if (payload_bytes != size - kHeaderBytes)
         return LoadStatus::Truncated;
     const std::uint8_t *payload = data + kHeaderBytes;
-    if (fnv1a(payload, payload_bytes) != checksum)
+    if (payloadChecksum(payload, payload_bytes) != checksum)
         return LoadStatus::ChecksumMismatch;
 
     Reader r{payload, payload_bytes};

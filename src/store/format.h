@@ -4,12 +4,13 @@
  * format.
  *
  * A compiled design is expensive to produce (seconds at dim >= 2048)
- * but cheap to describe: the netlist is a flat SoA of (kind, srcA,
- * srcB) triples and everything else is a handful of scalars.  The
- * format therefore stores the netlist and the capture bookkeeping
- * verbatim and rebuilds the segmented ExecPlan on load — plan
- * construction is a few linear passes over the netlist, which is what
- * makes loading a design several times faster than recompiling it.
+ * but cheap to describe: the netlist is three flat arrays (kinds,
+ * first sources, second sources) and everything else is a handful of
+ * scalars.  The format therefore stores the netlist arrays and the
+ * capture bookkeeping verbatim and rebuilds the segmented ExecPlan on
+ * load — plan construction is a few linear passes over the netlist,
+ * which is what makes loading a design several times faster than
+ * recompiling it.
  *
  * Layout (all integers little-endian):
  *
@@ -18,20 +19,23 @@
  *   | magic          | u32  | 0x44545053 ("SPTD")                    |
  *   | version        | u32  | kFormatVersion                         |
  *   | payload bytes  | u64  | length of everything after the header  |
- *   | checksum       | u64  | FNV-1a over the payload bytes          |
+ *   | checksum       | u64  | payloadChecksum over the payload bytes |
  *   | payload        | ...  | identity, tile plan, per-tile designs  |
  *
  * The payload carries the full experiments::DesignKey (content hash,
  * shape, element-sum guard, CompileOptions), the TileOptions and tile
- * plan, and per tile: scalar metadata, the column outputs, and the
- * raw netlist arrays.
+ * plan, and per tile: scalar metadata, the column outputs, the node
+ * and port counts n and p, then the netlist as three contiguous
+ * arrays `kinds u8[n]`, `srcA u32[n]`, `srcB u32[n]`, each written
+ * and read with one memcpy.
  *
  * Trust model: files are validated, not trusted.  Loading checks the
  * magic, version, length, and checksum before touching the payload,
- * then structurally validates every field (kinds in range, SSA source
- * ordering, port density, shape consistency) while replaying the
- * netlist through the public builders — a corrupt or adversarial file
- * yields a LoadStatus error, never a crash or an out-of-range netlist.
+ * then structurally validates every field: shapes and counts here,
+ * and the netlist arrays in one pass of circuit::Netlist::fromArrays
+ * (kinds in range, SSA source ordering, port density, unused sources
+ * empty) — a corrupt or adversarial file yields a LoadStatus error,
+ * never a crash or an out-of-range netlist.
  */
 
 #ifndef SPATIAL_STORE_FORMAT_H
@@ -71,14 +75,23 @@ const char *loadStatusName(LoadStatus status);
 /** File magic: "SPTD" (SPaTial Design), little-endian. */
 constexpr std::uint32_t kMagic = 0x44545053u;
 
-/** Current format revision; bumped on any layout change. */
-constexpr std::uint32_t kFormatVersion = 1;
+/**
+ * Current format revision; bumped on any layout change.  Files of any
+ * other revision load as BadVersion.
+ */
+constexpr std::uint32_t kFormatVersion = 2;
 
 /** Header bytes before the payload (magic, version, length, sum). */
 constexpr std::size_t kHeaderBytes = 24;
 
-/** FNV-1a over a byte range (the payload checksum). */
-std::uint64_t fnv1a(const std::uint8_t *data, std::size_t size);
+/**
+ * The payload checksum: four interleaved 64-bit lanes of
+ * `h = (h ^ word) * prime; h ^= h >> 29`, combined, then the
+ * zero-padded tail word and the length.  Each step is a bijection of
+ * the state, so any change confined to one aligned 8-byte word —
+ * every single-bit flip among them — changes the result.
+ */
+std::uint64_t payloadChecksum(const std::uint8_t *data, std::size_t size);
 
 /**
  * Serialize a design and its identity key to the wire format.

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -18,6 +20,8 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "circuit/exec_plan.h"
+#include "circuit/netlist.h"
 #include "common/fault.h"
 #include "common/rng.h"
 #include "core/tiled_design.h"
@@ -204,18 +208,44 @@ TEST(StoreFormat, EveryBitFlipFailsCleanly)
 {
     const auto pristine =
         serialized(testWeights(12, 331), testCompileOptions());
-    for (std::size_t byte = 0; byte < pristine.size(); byte += 13) {
-        for (int bit = 0; bit < 8; bit += 3) {
+    // Every bit of every byte.  A header flip may fail any check; a
+    // payload flip changes one word, which payloadChecksum always
+    // detects.
+    for (std::size_t byte = 0; byte < pristine.size(); ++byte) {
+        for (int bit = 0; bit < 8; ++bit) {
             auto bytes = pristine;
             bytes[byte] ^= static_cast<std::uint8_t>(1u << bit);
             std::shared_ptr<const core::TiledDesign> design;
-            EXPECT_NE(store::deserializeDesign(bytes.data(),
-                                               bytes.size(), &design),
-                      store::LoadStatus::Ok)
-                << "byte " << byte << " bit " << bit;
+            const auto status = store::deserializeDesign(
+                bytes.data(), bytes.size(), &design);
+            if (byte < store::kHeaderBytes)
+                EXPECT_NE(status, store::LoadStatus::Ok)
+                    << "byte " << byte << " bit " << bit;
+            else
+                EXPECT_EQ(status, store::LoadStatus::ChecksumMismatch)
+                    << "byte " << byte << " bit " << bit;
             EXPECT_EQ(design, nullptr);
         }
     }
+}
+
+TEST(StoreFormat, ChecksumCatchesTopBitFlipsInOneLane)
+{
+    // Two flips of bit 63 in words 32 bytes apart (the same lane) would
+    // cancel under a bare xor-multiply; the xor-shift fold keeps them.
+    std::vector<std::uint8_t> data(256, 0x5a);
+    const auto base = store::payloadChecksum(data.data(), data.size());
+    for (std::size_t word = 0; word + 4 < data.size() / 8; ++word) {
+        auto flipped = data;
+        flipped[8 * word + 7] ^= 0x80;
+        flipped[8 * (word + 4) + 7] ^= 0x80;
+        EXPECT_NE(store::payloadChecksum(flipped.data(), flipped.size()),
+                  base)
+            << "word " << word;
+    }
+    // The length is mixed in, so zero tails of different sizes differ.
+    EXPECT_NE(store::payloadChecksum(data.data(), 250),
+              store::payloadChecksum(data.data(), 251));
 }
 
 TEST(StoreFormat, WrongMagicAndVersionAreDistinguished)
@@ -250,6 +280,355 @@ TEST(StoreFormat, LoadFileReportsNotFound)
     EXPECT_EQ(store::loadDesignFile("/nonexistent/spatial/design.sptd",
                                     &design),
               store::LoadStatus::NotFound);
+}
+
+// ---------------------------------------------------------------------
+// Structural validation behind a valid checksum
+// ---------------------------------------------------------------------
+
+/**
+ * A single-tile file whose netlist arrays can be edited in place.  The
+ * arrays close the payload (kinds u8[n], srcA u32[n], srcB u32[n],
+ * after the u64 node and port counts), so they are located from the
+ * end; reseal() recomputes the header's length and checksum, so only
+ * the structural checks stand between an edit and the loader.
+ */
+struct EditableFile
+{
+    std::vector<std::uint8_t> bytes;
+    std::size_t n = 0;
+    const circuit::Netlist *netlist = nullptr;
+    core::TiledDesign design;
+
+    EditableFile(const IntMatrix &weights,
+                 const core::CompileOptions &options)
+        : design(core::TiledDesign::compile(weights, options))
+    {
+        bytes = store::serializeDesign(
+            experiments::makeDesignKey(weights, options), design);
+        netlist = &design.tile(0).netlist();
+        n = netlist->numNodes();
+    }
+
+    std::size_t kindsAt() const { return bytes.size() - 9 * n; }
+    std::size_t srcAAt(std::size_t i) const
+    {
+        return bytes.size() - 8 * n + 4 * i;
+    }
+    std::size_t srcBAt(std::size_t i) const
+    {
+        return bytes.size() - 4 * n + 4 * i;
+    }
+    std::size_t portsAt() const { return kindsAt() - 8; }
+
+    template <typename T>
+    void put(std::size_t at, T v)
+    {
+        std::memcpy(bytes.data() + at, &v, sizeof v);
+    }
+
+    /** First node of `kind`; fails the test when there is none. */
+    std::size_t find(circuit::CompKind kind) const
+    {
+        for (std::size_t i = 0; i < n; ++i)
+            if (netlist->kind(static_cast<circuit::NodeId>(i)) == kind)
+                return i;
+        ADD_FAILURE() << "no " << circuit::compKindName(kind) << " node";
+        return 0;
+    }
+
+    store::LoadStatus reseal()
+    {
+        const std::uint64_t payload = bytes.size() - store::kHeaderBytes;
+        put<std::uint64_t>(8, payload);
+        put<std::uint64_t>(
+            16, store::payloadChecksum(
+                    bytes.data() + store::kHeaderBytes, payload));
+        std::shared_ptr<const core::TiledDesign> loaded;
+        const auto status =
+            store::deserializeDesign(bytes.data(), bytes.size(), &loaded);
+        EXPECT_EQ(loaded == nullptr, status != store::LoadStatus::Ok);
+        return status;
+    }
+};
+
+TEST(StoreFormat, ResealedStructuralDamageIsCorrupt)
+{
+    using circuit::CompKind;
+    const EditableFile pristine(testWeights(12, 335), testCompileOptions());
+    {
+        EditableFile f = pristine;
+        ASSERT_EQ(f.reseal(), store::LoadStatus::Ok);
+    }
+    const std::size_t ports = pristine.netlist->numInputPorts();
+    const std::size_t adder = pristine.find(CompKind::Adder);
+    const std::size_t input = pristine.find(CompKind::Input);
+    const std::size_t dff = pristine.find(CompKind::Dff);
+
+    for (const std::uint8_t kind : {std::uint8_t{8}, std::uint8_t{255}}) {
+        EditableFile f = pristine;
+        f.bytes[f.kindsAt() + adder] = kind;
+        EXPECT_EQ(f.reseal(), store::LoadStatus::Corrupt)
+            << "kind " << int(kind);
+    }
+    for (const std::size_t src : {adder, adder + 1}) {
+        EditableFile f = pristine;
+        f.put(f.srcAAt(adder), static_cast<std::uint32_t>(src));
+        EXPECT_EQ(f.reseal(), store::LoadStatus::Corrupt) << "srcA " << src;
+        f = pristine;
+        f.put(f.srcBAt(adder), static_cast<std::uint32_t>(src));
+        EXPECT_EQ(f.reseal(), store::LoadStatus::Corrupt) << "srcB " << src;
+    }
+    {
+        EditableFile f = pristine;
+        f.put(f.srcAAt(input), static_cast<std::uint32_t>(ports));
+        EXPECT_EQ(f.reseal(), store::LoadStatus::Corrupt);
+    }
+    {
+        // Re-point the Input of the last port at port 0: the declared
+        // count then names a port that no Input drives.
+        EditableFile f = pristine;
+        std::size_t last = pristine.n;
+        for (std::size_t i = 0; i < pristine.n; ++i) {
+            const auto id = static_cast<circuit::NodeId>(i);
+            if (pristine.netlist->kind(id) == CompKind::Input &&
+                pristine.netlist->inputPort(id) == ports - 1)
+                last = i;
+        }
+        ASSERT_LT(last, pristine.n);
+        f.put<std::uint32_t>(f.srcAAt(last), 0);
+        EXPECT_EQ(f.reseal(), store::LoadStatus::Corrupt);
+        // A count above the rows is refused before the arrays are read.
+        f = pristine;
+        f.put<std::uint64_t>(f.portsAt(), ports + 1);
+        EXPECT_EQ(f.reseal(), store::LoadStatus::Corrupt);
+    }
+    {
+        EditableFile f = pristine;
+        f.put<std::uint32_t>(f.srcBAt(dff), 0);
+        EXPECT_EQ(f.reseal(), store::LoadStatus::Corrupt);
+    }
+    for (const std::size_t cut : {std::size_t{1}, std::size_t{4},
+                                  pristine.n, 9 * pristine.n}) {
+        EditableFile f = pristine;
+        f.bytes.resize(f.bytes.size() - cut);
+        EXPECT_EQ(f.reseal(), store::LoadStatus::Corrupt) << "cut " << cut;
+    }
+}
+
+TEST(StoreFormat, NetlistFromArraysEnforcesTheBuilderRules)
+{
+    using circuit::CompKind;
+    using circuit::kNoNode;
+    using circuit::NodeId;
+    // in0, in1, const0, and, dff, not, adder, sub over 2 ports.
+    const std::vector<CompKind> kinds = {
+        CompKind::Input, CompKind::Input, CompKind::Const0, CompKind::And,
+        CompKind::Dff,   CompKind::Not,   CompKind::Adder,  CompKind::Sub};
+    const std::vector<NodeId> srcA = {0, 1, kNoNode, 0, 3, 4, 4, 6};
+    const std::vector<NodeId> srcB = {kNoNode, kNoNode, kNoNode, 1,
+                                      kNoNode, kNoNode, 5,       2};
+    const auto load = [](std::vector<CompKind> k, std::vector<NodeId> a,
+                         std::vector<NodeId> b, std::size_t ports) {
+        return circuit::Netlist::fromArrays(std::move(k), std::move(a),
+                                            std::move(b), ports)
+            .has_value();
+    };
+    ASSERT_TRUE(load(kinds, srcA, srcB, 2));
+    const auto loaded = *circuit::Netlist::fromArrays(kinds, srcA, srcB, 2);
+    EXPECT_EQ(loaded.kinds(), kinds);
+    EXPECT_EQ(loaded.srcAs(), srcA);
+    EXPECT_EQ(loaded.srcBs(), srcB);
+    EXPECT_EQ(loaded.numInputPorts(), 2u);
+
+    // Each edit breaks exactly one rule.
+    const auto withKind = [&](std::size_t i, std::uint8_t k) {
+        auto v = kinds;
+        v[i] = static_cast<CompKind>(k);
+        return v;
+    };
+    const auto with = [](std::vector<NodeId> v, std::size_t i, NodeId x) {
+        v[i] = x;
+        return v;
+    };
+    EXPECT_FALSE(load(withKind(6, 8), srcA, srcB, 2));
+    EXPECT_FALSE(load(withKind(6, 255), srcA, srcB, 2));
+    EXPECT_FALSE(load(kinds, with(srcA, 6, 6), srcB, 2)); // self
+    EXPECT_FALSE(load(kinds, with(srcA, 6, 7), srcB, 2)); // forward
+    EXPECT_FALSE(load(kinds, srcA, with(srcB, 7, 7), 2));
+    EXPECT_FALSE(load(kinds, srcA, with(srcB, 3, kNoNode), 2));
+    EXPECT_FALSE(load(kinds, with(srcA, 1, 2), srcB, 2)); // port >= 2
+    EXPECT_FALSE(load(kinds, srcA, srcB, 3)); // port 2 never driven
+    EXPECT_FALSE(load(kinds, srcA, srcB, 1));
+    EXPECT_FALSE(load(kinds, srcA, with(srcB, 0, 0), 2));  // Input
+    EXPECT_FALSE(load(kinds, srcA, with(srcB, 2, 0), 2));  // Const
+    EXPECT_FALSE(load(kinds, with(srcA, 2, 0), srcB, 2));  // Const
+    EXPECT_FALSE(load(kinds, srcA, with(srcB, 4, 0), 2));  // Dff
+    EXPECT_FALSE(load(kinds, srcA, with(srcB, 5, 0), 2));  // Not
+    EXPECT_FALSE(load(kinds, with(srcA, 4, kNoNode), srcB, 2));
+    EXPECT_FALSE(load(kinds, std::vector<NodeId>(srcA.begin(),
+                                                 srcA.end() - 1),
+                      srcB, 2));
+}
+
+// ---------------------------------------------------------------------
+// Old files and load identity
+// ---------------------------------------------------------------------
+
+/** Rewrite a file's version field (it sits at byte 4 of the header). */
+void
+setFileVersion(const std::string &path, std::uint32_t version)
+{
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(file.is_open()) << path;
+    file.seekp(4);
+    file.write(reinterpret_cast<const char *>(&version), sizeof version);
+}
+
+/** A file's version field. */
+std::uint32_t
+fileVersion(const std::string &path)
+{
+    std::ifstream file(path, std::ios::binary);
+    std::uint32_t header[2] = {0, 0};
+    file.read(reinterpret_cast<char *>(header), sizeof header);
+    return header[1];
+}
+
+TEST(StoreFormat, VersionOneFileIsBadVersion)
+{
+    auto bytes = serialized(testWeights(12, 343), testCompileOptions());
+    const std::uint32_t v1 = 1;
+    std::memcpy(bytes.data() + 4, &v1, sizeof v1);
+    std::shared_ptr<const core::TiledDesign> design;
+    EXPECT_EQ(store::deserializeDesign(bytes.data(), bytes.size(), &design),
+              store::LoadStatus::BadVersion);
+    EXPECT_EQ(design, nullptr);
+}
+
+TEST(TieredStore, VersionOneSpillFileIsRecompiledAndRewritten)
+{
+    TempDir dir("tier-v1");
+    serve::StoreOptions options;
+    options.capacity = 1;
+    options.spillDir = dir.path.string();
+    serve::DesignStore store(options);
+    const auto compile = testCompileOptions();
+    const auto a = testWeights(16, 386);
+    const auto b = testWeights(16, 387);
+    const auto path = store::ColdTier(dir.path.string())
+                          .pathFor(experiments::makeDesignKey(a, compile));
+
+    store.get(a, compile);
+    store.get(b, compile); // demotes a
+    ASSERT_EQ(fileVersion(path), store::kFormatVersion);
+    setFileVersion(path, 1); // a file left by the previous format
+
+    const auto design = store.get(a, compile);
+    auto stats = store.stats();
+    EXPECT_EQ(stats.promotions, 0u);
+    EXPECT_EQ(stats.coldFallbacks, 1u);
+    EXPECT_FALSE(fs::exists(path));
+    Rng rng(388);
+    const auto x = makeSignedVector(16, 8, rng);
+    EXPECT_EQ(design->multiply(x), referenceMultiply(a, x));
+
+    store.get(b, compile); // demotes a again, as version 2
+    EXPECT_EQ(fileVersion(path), store::kFormatVersion);
+    std::shared_ptr<const core::TiledDesign> reloaded;
+    ASSERT_EQ(store::loadDesignFile(path, &reloaded),
+              store::LoadStatus::Ok);
+    EXPECT_EQ(reloaded->multiply(x), referenceMultiply(a, x));
+}
+
+bool
+sameComb(const circuit::ExecPlan::CombOp &x,
+         const circuit::ExecPlan::CombOp &y)
+{
+    return x.dst == y.dst && x.a == y.a && x.b == y.b && x.inv == y.inv;
+}
+
+bool
+sameReg(const circuit::ExecPlan::RegOp &x, const circuit::ExecPlan::RegOp &y)
+{
+    return x.dst == y.dst && x.a == y.a && x.b == y.b && x.bInv == y.bInv &&
+           x.carryInit == y.carryInit;
+}
+
+bool
+sameSegment(const circuit::ExecPlan::Segment &x,
+            const circuit::ExecPlan::Segment &y)
+{
+    return x.combBegin == y.combBegin && x.combEnd == y.combEnd &&
+           x.regBegin == y.regBegin && x.regEnd == y.regEnd &&
+           x.combConsumersBegin == y.combConsumersBegin &&
+           x.combConsumersEnd == y.combConsumersEnd &&
+           x.regConsumersBegin == y.regConsumersBegin &&
+           x.regConsumersEnd == y.regConsumersEnd;
+}
+
+TEST(StoreFormat, LoadedNetlistAndPlanEqualTheCompiledOnes)
+{
+    struct Case
+    {
+        core::SignMode sign;
+        bool constantPropagation;
+    };
+    for (const Case c : {Case{core::SignMode::Unsigned, true},
+                         Case{core::SignMode::PnSplit, true},
+                         Case{core::SignMode::Csd, true},
+                         Case{core::SignMode::Csd, false}}) {
+        SCOPED_TRACE(testing::Message()
+                     << "sign " << int(c.sign) << " constprop "
+                     << c.constantPropagation);
+        Rng gen(347);
+        const IntMatrix weights =
+            c.sign == core::SignMode::Unsigned
+                ? makeElementSparseMatrix(24, 24, 8, 0.6, gen)
+                : makeSignedElementSparseMatrix(24, 24, 8, 0.6, gen);
+        auto options = testCompileOptions();
+        options.signMode = c.sign;
+        options.constantPropagation = c.constantPropagation;
+        const auto design = core::TiledDesign::compile(weights, options);
+        const auto bytes = store::serializeDesign(
+            experiments::makeDesignKey(weights, options), design);
+        std::shared_ptr<const core::TiledDesign> loaded;
+        ASSERT_EQ(store::deserializeDesign(bytes.data(), bytes.size(),
+                                           &loaded),
+                  store::LoadStatus::Ok);
+        ASSERT_EQ(loaded->tileCount(), design.tileCount());
+        for (std::size_t t = 0; t < design.tileCount(); ++t) {
+            const auto &want = design.tile(t);
+            const auto &got = loaded->tile(t);
+            EXPECT_EQ(got.netlist().kinds(), want.netlist().kinds());
+            EXPECT_EQ(got.netlist().srcAs(), want.netlist().srcAs());
+            EXPECT_EQ(got.netlist().srcBs(), want.netlist().srcBs());
+            EXPECT_EQ(got.netlist().numInputPorts(),
+                      want.netlist().numInputPorts());
+
+            const circuit::ExecPlan &p = got.plan();
+            const circuit::ExecPlan &q = want.plan();
+            if (!c.constantPropagation) {
+                EXPECT_FALSE(q.comb().empty()); // the comb-op source
+            }
+            EXPECT_TRUE(std::equal(p.comb().begin(), p.comb().end(),
+                                   q.comb().begin(), q.comb().end(),
+                                   sameComb));
+            EXPECT_TRUE(std::equal(p.regs().begin(), p.regs().end(),
+                                   q.regs().begin(), q.regs().end(),
+                                   sameReg));
+            EXPECT_TRUE(std::equal(p.segments().begin(),
+                                   p.segments().end(),
+                                   q.segments().begin(),
+                                   q.segments().end(), sameSegment));
+            EXPECT_EQ(p.consumers(), q.consumers());
+            EXPECT_EQ(p.slotOf(), q.slotOf());
+        }
+        Rng rng(348);
+        const IntMatrix batch = makeSignedBatch(3, weights.rows(), 8, rng);
+        EXPECT_TRUE(loaded->multiplyBatchWide(batch) ==
+                    design.multiplyBatchWide(batch));
+    }
 }
 
 // ---------------------------------------------------------------------
